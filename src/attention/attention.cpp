@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/kernels.hpp"
@@ -124,9 +125,9 @@ void flash_forward_body(const float* pq, const float* pk, const float* pv,
                         std::int64_t nk, std::int64_t d, std::int64_t dv,
                         float scale, const FlashParams& params) {
   const std::int64_t q_blocks = (nq + params.block_q - 1) / params.block_q;
-  // Score dots stay sequential double reductions (their accumulation order
-  // is pinned); only element-parallel rescales and axpy updates route
-  // through the simd tier.
+  // Score tiles are GEMM-NT: each score is one ascending-t double dot, the
+  // order the GEMM pins. Rescales and axpy updates route through the simd
+  // tier.
   const simd::Ops& sops = simd::ops();
   kernels::parallel_for(q_blocks, 1, [&](std::int64_t qb0, std::int64_t qb1) {
     // Per-thread grow-only scratch: score tile and running row statistics
@@ -158,24 +159,16 @@ void flash_forward_body(const float* pq, const float* pk, const float* pv,
         const std::int64_t k1 = std::min(nk, k0 + params.block_kv);
         const std::int64_t bk = k1 - k0;
 
-        // Score tile S = Qb Kb^T * scale (fits in cache by construction).
-        for (std::int64_t i = q0; i < q1; ++i) {
-          const float* qrow = pq + i * d;
-          float* srow = scores.data() + (i - q0) * params.block_kv;
-          for (std::int64_t j = 0; j < bk; ++j) {
-            const float* krow = pk + (k0 + j) * d;
-            double acc = 0.0;
-            for (std::int64_t t = 0; t < d; ++t) {
-              acc += static_cast<double>(qrow[t]) * krow[t];
-            }
-            srow[j] = static_cast<float>(acc) * scale;
-          }
-        }
+        // Score tile S = Qb Kb^T * scale, rows bk apart (fits in cache by
+        // construction).
+        kernels::gemm(kernels::Trans::kN, kernels::Trans::kT, q1 - q0, bk, d,
+                      pq + q0 * d, pk + k0 * d, scores.data());
+        sops.scale_f32(scores.data(), scale, (q1 - q0) * bk);
 
         // Online softmax update per row: rescale previous accumulators when
         // a new maximum appears, then fold in this block's contributions.
         for (std::int64_t i = q0; i < q1; ++i) {
-          float* srow = scores.data() + (i - q0) * params.block_kv;
+          float* srow = scores.data() + (i - q0) * bk;
           float block_max = srow[0];
           for (std::int64_t j = 1; j < bk; ++j) {
             block_max = std::max(block_max, srow[j]);
@@ -318,23 +311,32 @@ AttentionGrads attention_flash_backward(const AttentionContext& ctx,
   const std::int64_t q_blocks = (nq + params.block_q - 1) / params.block_q;
   const std::int64_t k_blocks = (nk + params.block_kv - 1) / params.block_kv;
 
-  // Recomputes the probability tile for query rows [q0, q1) x keys
-  // [k0, k0+bk) from Q, K and the saved logsumexp.
-  auto recompute_probs = [&](std::int64_t q0, std::int64_t q1, std::int64_t k0,
-                             std::int64_t bk, std::vector<float>& probs) {
+  // Fills the tiles for query rows [q0, q1) x keys [k0, k0+bk), rows bk
+  // apart: probs from Q, K and the saved logsumexp, and dp = dO V^T — both
+  // GEMM-NT score tiles.
+  auto recompute_tiles = [&](std::int64_t q0, std::int64_t q1, std::int64_t k0,
+                             std::int64_t bk, float* probs, float* dp) {
+    kernels::gemm(kernels::Trans::kN, kernels::Trans::kT, q1 - q0, bk, d,
+                  pq + q0 * d, pk + k0 * d, probs);
     for (std::int64_t i = q0; i < q1; ++i) {
-      const float* qrow = pq + i * d;
-      float* prow = probs.data() + (i - q0) * params.block_kv;
+      float* prow = probs + (i - q0) * bk;
       const float lse = plse[i];
       for (std::int64_t j = 0; j < bk; ++j) {
-        const float* krow = pk + (k0 + j) * d;
-        double acc = 0.0;
-        for (std::int64_t t = 0; t < d; ++t) {
-          acc += static_cast<double>(qrow[t]) * krow[t];
-        }
-        prow[j] = std::exp(static_cast<float>(acc) * ctx.scale - lse);
+        prow[j] = std::exp(prow[j] * ctx.scale - lse);
       }
     }
+    kernels::gemm(kernels::Trans::kN, kernels::Trans::kT, q1 - q0, bk, dv,
+                  pgo + q0 * dv, pv + k0 * dv, dp);
+  };
+  // Grow-only per-thread tile scratch; recompute_tiles writes every entry
+  // the passes read.
+  const auto tile = static_cast<std::size_t>(params.block_q * params.block_kv);
+  auto tiles_scratch = [tile]() -> std::pair<float*, float*> {
+    thread_local std::vector<float> probs;
+    thread_local std::vector<float> dp;
+    if (probs.size() < tile) probs.resize(tile);
+    if (dp.size() < tile) dp.resize(tile);
+    return {probs.data(), dp.data()};
   };
 
   const simd::Ops& sops = simd::ops();
@@ -342,29 +344,21 @@ AttentionGrads attention_flash_backward(const AttentionContext& ctx,
   // Pass 1 — dQ: query blocks own disjoint dq rows; key blocks are walked
   // serially in ascending order inside each chunk.
   kernels::parallel_for(q_blocks, 1, [&](std::int64_t qb0, std::int64_t qb1) {
-    std::vector<float> probs(
-        static_cast<std::size_t>(params.block_q * params.block_kv));
+    const auto [probs, dp] = tiles_scratch();
     for (std::int64_t qb = qb0; qb < qb1; ++qb) {
       const std::int64_t q0 = qb * params.block_q;
       const std::int64_t q1 = std::min(nq, q0 + params.block_q);
       for (std::int64_t k0 = 0; k0 < nk; k0 += params.block_kv) {
         const std::int64_t bk = std::min(nk, k0 + params.block_kv) - k0;
-        recompute_probs(q0, q1, k0, bk, probs);
+        recompute_tiles(q0, q1, k0, bk, probs, dp);
         for (std::int64_t i = q0; i < q1; ++i) {
-          const float* prow = probs.data() + (i - q0) * params.block_kv;
-          const float* gorow = pgo + i * dv;
+          const float* prow = probs + (i - q0) * bk;
+          const float* dprow = dp + (i - q0) * bk;
           float* dqrow = pdq + i * d;
           for (std::int64_t j = 0; j < bk; ++j) {
-            const float p = prow[j];
-            const float* vrow = pv + (k0 + j) * dv;
-            double dp = 0.0;
-            for (std::int64_t t = 0; t < dv; ++t) {
-              dp += static_cast<double>(gorow[t]) * vrow[t];
-            }
             // dS_ij = p * (dP_ij - D_i), scaled.
-            const float ds = p *
-                             (static_cast<float>(dp) -
-                              delta[static_cast<std::size_t>(i)]) *
+            const float ds = prow[j] *
+                             (dprow[j] - delta[static_cast<std::size_t>(i)]) *
                              ctx.scale;
             sops.axpy_f32(dqrow, pk + (k0 + j) * d, ds, d);
           }
@@ -376,33 +370,23 @@ AttentionGrads attention_flash_backward(const AttentionContext& ctx,
   // Pass 2 — dK, dV: key blocks own disjoint dk/dv rows; query blocks are
   // walked serially in ascending order inside each chunk.
   kernels::parallel_for(k_blocks, 1, [&](std::int64_t kb0, std::int64_t kb1) {
-    std::vector<float> probs(
-        static_cast<std::size_t>(params.block_q * params.block_kv));
+    const auto [probs, dp] = tiles_scratch();
     for (std::int64_t kb = kb0; kb < kb1; ++kb) {
       const std::int64_t k0 = kb * params.block_kv;
       const std::int64_t bk = std::min(nk, k0 + params.block_kv) - k0;
       for (std::int64_t q0 = 0; q0 < nq; q0 += params.block_q) {
         const std::int64_t q1 = std::min(nq, q0 + params.block_q);
-        recompute_probs(q0, q1, k0, bk, probs);
+        recompute_tiles(q0, q1, k0, bk, probs, dp);
         for (std::int64_t i = q0; i < q1; ++i) {
-          const float* prow = probs.data() + (i - q0) * params.block_kv;
+          const float* prow = probs + (i - q0) * bk;
+          const float* dprow = dp + (i - q0) * bk;
           const float* gorow = pgo + i * dv;
           const float* qrow = pq + i * d;
           for (std::int64_t j = 0; j < bk; ++j) {
             const float p = prow[j];
-            const float* vrow = pv + (k0 + j) * dv;
-            // The dp reduction keeps its sequential ascending-t order; the
-            // independent dV_j += p * dO_i update (formerly interleaved in
-            // the same loop) routes through the simd tier — separating the
-            // two changes no operation's operands or order.
-            double dp = 0.0;
-            for (std::int64_t t = 0; t < dv; ++t) {
-              dp += static_cast<double>(gorow[t]) * vrow[t];
-            }
             sops.axpy_f32(pdv + (k0 + j) * dv, gorow, p, dv);
             const float ds = p *
-                             (static_cast<float>(dp) -
-                              delta[static_cast<std::size_t>(i)]) *
+                             (dprow[j] - delta[static_cast<std::size_t>(i)]) *
                              ctx.scale;
             sops.axpy_f32(pdk + (k0 + j) * d, qrow, ds, d);
           }

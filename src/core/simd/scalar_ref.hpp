@@ -23,10 +23,23 @@
 
 namespace orbit2::simd::detail {
 
-static inline void scalar_gemm_update_f64(double* acc, const float* b,
-                                          double a, std::int64_t n) {
-  for (std::int64_t j = 0; j < n; ++j) {
-    acc[j] += a * static_cast<double>(b[j]);
+// Row-update order: for each row, walk k ascending and update the whole
+// row of accumulators. Each element still sees its k terms in ascending
+// order, which is all the contract pins.
+static inline void scalar_gemm_block_f64(double* acc, std::int64_t ldacc,
+                                         const float* a, std::int64_t lda,
+                                         const float* b, std::int64_t ldb,
+                                         std::int64_t m, std::int64_t n,
+                                         std::int64_t k) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    double* row = acc + i * ldacc;
+    for (std::int64_t q = 0; q < k; ++q) {
+      const double aiq = static_cast<double>(a[i * lda + q]);
+      const float* brow = b + q * ldb;
+      for (std::int64_t j = 0; j < n; ++j) {
+        row[j] += aiq * static_cast<double>(brow[j]);
+      }
+    }
   }
 }
 

@@ -4,7 +4,7 @@
 // The kernel substrate (core/kernels.hpp) made every hot path thread-parallel
 // and bit-stable, but left all inner arithmetic scalar. This layer supplies
 // the vectorized inner loops: a small set of primitive microkernels (GEMM
-// row updates, radix-2 FFT butterflies, contiguous elementwise stages,
+// register blocks, radix-2 FFT butterflies, contiguous elementwise stages,
 // row rescales, bf16 convert-and-round) behind one function-pointer table
 // selected once at startup from the host ISA (AVX-512 > AVX2 > NEON >
 // scalar) and overridable with `ORBIT2_SIMD=scalar|avx2|avx512|neon` for
@@ -64,11 +64,16 @@ inline constexpr std::int64_t kReduceLanes = 8;
 struct Ops {
   Isa isa;
 
-  /// GEMM inner-loop row update: acc[j] += a * double(b[j]) for j in [0, n).
-  /// Double accumulators, one rounded multiply + one rounded add per
-  /// element (no FMA).
-  void (*gemm_update_f64)(double* acc, const float* b, double a,
-                          std::int64_t n);
+  /// GEMM block update over an m x n tile of double accumulators:
+  ///   acc[i*ldacc + j] += double(a[i*lda + q]) * double(b[q*ldb + j])
+  /// for q = 0, 1, ..., k-1 in that order. Each step is one rounded multiply
+  /// then one rounded add (no FMA), so every element is the same ascending-k
+  /// double sum whatever the blocking. Vector backends hold an MR x NR tile
+  /// of accumulators in registers across the whole k loop; the scalar
+  /// reference (and NEON) walk it as row updates.
+  void (*gemm_block_f64)(double* acc, std::int64_t ldacc, const float* a,
+                         std::int64_t lda, const float* b, std::int64_t ldb,
+                         std::int64_t m, std::int64_t n, std::int64_t k);
 
   /// y[i] += a * x[i] (rounded multiply then rounded add, float).
   void (*axpy_f32)(float* y, const float* x, float a, std::int64_t n);

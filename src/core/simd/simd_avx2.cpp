@@ -8,12 +8,14 @@
 //     the swapped (xi,xr), then vaddsubpd combines: even lane
 //     t1-t2 = xr*wr - xi*wi, odd lane t1+t2 = xi*wr + xr*wi — exactly the
 //     scalar reference's operand order.
-//   * Remainder tails call the scalar reference per element.
+//   * Remainder tails call the scalar reference per element, except in the
+//     GEMM block, whose column tail runs masked vector lanes.
 
 #if defined(ORBIT2_SIMD_HAVE_AVX2)
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstdint>
 
 #include "core/simd/scalar_ref.hpp"
@@ -23,16 +25,100 @@ namespace orbit2::simd::detail {
 
 namespace {
 
-void avx2_gemm_update_f64(double* acc, const float* b, double a,
-                          std::int64_t n) {
-  const __m256d va = _mm256_set1_pd(a);
-  std::int64_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d vb = _mm256_cvtps_pd(_mm_loadu_ps(b + j));
-    const __m256d vacc = _mm256_loadu_pd(acc + j);
-    _mm256_storeu_pd(acc + j, _mm256_add_pd(vacc, _mm256_mul_pd(va, vb)));
+// GEMM register block: R rows x V vectors of 4 double accumulators stay in
+// ymm registers for the whole k loop (R*V <= 8 of the 16 registers). With
+// Tail, the last vector of each row holds only the lanes `dmask`/`fmask`
+// select: vmaskmov loads read masked-off lanes as 0 without touching
+// memory, and the masked store leaves them unwritten. Per element this is
+// the scalar reference's step sequence exactly: acc + (double(a) *
+// double(b)), ascending q.
+constexpr std::int64_t kBlockRows = 4;
+constexpr std::int64_t kBlockCols = 8;
+
+template <int R, int V, bool Tail>
+void avx2_gemm_block(double* acc, std::int64_t ldacc, const float* a,
+                     std::int64_t lda, const float* b, std::int64_t ldb,
+                     std::int64_t k, __m256i dmask, __m128i fmask) {
+  __m256d c[R][V];
+#pragma GCC unroll 16
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 16
+    for (int v = 0; v < V; ++v) {
+      double* p = acc + r * ldacc + 4 * v;
+      c[r][v] = (Tail && v == V - 1) ? _mm256_maskload_pd(p, dmask)
+                                     : _mm256_loadu_pd(p);
+    }
   }
-  if (j < n) scalar_gemm_update_f64(acc + j, b + j, a, n - j);
+  for (std::int64_t q = 0; q < k; ++q) {
+    const float* brow = b + q * ldb;
+    __m256d bv[V];
+#pragma GCC unroll 16
+    for (int v = 0; v < V; ++v) {
+      bv[v] = _mm256_cvtps_pd((Tail && v == V - 1)
+                                  ? _mm_maskload_ps(brow + 4 * v, fmask)
+                                  : _mm_loadu_ps(brow + 4 * v));
+    }
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r) {
+      const __m256d ar = _mm256_set1_pd(static_cast<double>(a[r * lda + q]));
+#pragma GCC unroll 16
+      for (int v = 0; v < V; ++v) {
+        c[r][v] = _mm256_add_pd(c[r][v], _mm256_mul_pd(ar, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 16
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 16
+    for (int v = 0; v < V; ++v) {
+      double* p = acc + r * ldacc + 4 * v;
+      if (Tail && v == V - 1) {
+        _mm256_maskstore_pd(p, dmask, c[r][v]);
+      } else {
+        _mm256_storeu_pd(p, c[r][v]);
+      }
+    }
+  }
+}
+
+using Avx2Block = void (*)(double*, std::int64_t, const float*, std::int64_t,
+                           const float*, std::int64_t, std::int64_t, __m256i,
+                           __m128i);
+
+// [rows - 1][vectors - 1][tail]: the full 4x8 block plus every row and
+// column remainder shape; unmasked variants keep plain loads and stores.
+constexpr Avx2Block kAvx2Blocks[kBlockRows][2][2] = {
+    {{avx2_gemm_block<1, 1, false>, avx2_gemm_block<1, 1, true>},
+     {avx2_gemm_block<1, 2, false>, avx2_gemm_block<1, 2, true>}},
+    {{avx2_gemm_block<2, 1, false>, avx2_gemm_block<2, 1, true>},
+     {avx2_gemm_block<2, 2, false>, avx2_gemm_block<2, 2, true>}},
+    {{avx2_gemm_block<3, 1, false>, avx2_gemm_block<3, 1, true>},
+     {avx2_gemm_block<3, 2, false>, avx2_gemm_block<3, 2, true>}},
+    {{avx2_gemm_block<4, 1, false>, avx2_gemm_block<4, 1, true>},
+     {avx2_gemm_block<4, 2, false>, avx2_gemm_block<4, 2, true>}},
+};
+
+void avx2_gemm_block_f64(double* acc, std::int64_t ldacc, const float* a,
+                         std::int64_t lda, const float* b, std::int64_t ldb,
+                         std::int64_t m, std::int64_t n, std::int64_t k) {
+  // Column blocks outer, row blocks inner: one k x 8 strip of B stays hot
+  // in L1 while every row block of A streams past it.
+  for (std::int64_t j0 = 0; j0 < n; j0 += kBlockCols) {
+    const std::int64_t cols = std::min(kBlockCols, n - j0);
+    const std::int64_t vecs = (cols + 3) / 4;
+    const std::int64_t lanes = cols - 4 * (vecs - 1);
+    const __m256i dmask = _mm256_set_epi64x(lanes > 3 ? -1 : 0,
+                                            lanes > 2 ? -1 : 0,
+                                            lanes > 1 ? -1 : 0, -1);
+    const __m128i fmask = _mm_set_epi32(lanes > 3 ? -1 : 0, lanes > 2 ? -1 : 0,
+                                        lanes > 1 ? -1 : 0, -1);
+    for (std::int64_t i0 = 0; i0 < m; i0 += kBlockRows) {
+      const std::int64_t rows = std::min(kBlockRows, m - i0);
+      kAvx2Blocks[rows - 1][vecs - 1][lanes < 4 ? 1 : 0](
+          acc + i0 * ldacc + j0, ldacc, a + i0 * lda, lda, b + j0, ldb, k,
+          dmask, fmask);
+    }
+  }
 }
 
 void avx2_axpy_f32(float* y, const float* x, float a, std::int64_t n) {
@@ -193,7 +279,7 @@ double avx2_dot_f32(const float* x, const float* y, std::int64_t n) {
 
 const Ops* avx2_ops() {
   static const Ops table = {
-      Isa::kAvx2,         avx2_gemm_update_f64, avx2_axpy_f32,
+      Isa::kAvx2,         avx2_gemm_block_f64,  avx2_axpy_f32,
       avx2_scale_f32,     avx2_add_f32,         avx2_sub_f32,
       avx2_rsub_f32,      avx2_mul_f32,         avx2_bf16_round_f32,
       avx2_fft_butterfly_f64, avx2_cmul_f64,    avx2_dot_f32,

@@ -10,6 +10,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstdint>
 
 #include "core/simd/scalar_ref.hpp"
@@ -19,16 +20,87 @@ namespace orbit2::simd::detail {
 
 namespace {
 
-void avx512_gemm_update_f64(double* acc, const float* b, double a,
-                            std::int64_t n) {
-  const __m512d va = _mm512_set1_pd(a);
-  std::int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512d vb = _mm512_cvtps_pd(_mm256_loadu_ps(b + j));
-    const __m512d vacc = _mm512_loadu_pd(acc + j);
-    _mm512_storeu_pd(acc + j, _mm512_add_pd(vacc, _mm512_mul_pd(va, vb)));
+// GEMM register block: R rows x V vectors of 8 double accumulators stay in
+// zmm registers for the whole k loop (R*V <= 12 of the 32 registers). Only
+// the last vector of a row may be partial; it loads and stores through the
+// `tail` lane mask, and masked-off B lanes read as 0 without touching
+// memory. Per element this is the scalar reference's step sequence exactly:
+// acc + (double(a) * double(b)), ascending q.
+constexpr std::int64_t kBlockRows = 6;
+constexpr std::int64_t kBlockCols = 16;
+
+template <int R, int V>
+void avx512_gemm_block(double* acc, std::int64_t ldacc, const float* a,
+                       std::int64_t lda, const float* b, std::int64_t ldb,
+                       std::int64_t k, __mmask8 tail) {
+  __m512d c[R][V];
+#pragma GCC unroll 16
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 16
+    for (int v = 0; v < V; ++v) {
+      c[r][v] = _mm512_maskz_loadu_pd(v == V - 1 ? tail : 0xFF,
+                                      acc + r * ldacc + 8 * v);
+    }
   }
-  if (j < n) scalar_gemm_update_f64(acc + j, b + j, a, n - j);
+  for (std::int64_t q = 0; q < k; ++q) {
+    const float* brow = b + q * ldb;
+    __m512d bv[V];
+#pragma GCC unroll 16
+    for (int v = 0; v < V; ++v) {
+      bv[v] = _mm512_cvtps_pd(_mm512_castps512_ps256(_mm512_maskz_loadu_ps(
+          v == V - 1 ? tail : 0xFF, brow + 8 * v)));
+    }
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r) {
+      const __m512d ar = _mm512_set1_pd(static_cast<double>(a[r * lda + q]));
+#pragma GCC unroll 16
+      for (int v = 0; v < V; ++v) {
+        c[r][v] = _mm512_add_pd(c[r][v], _mm512_mul_pd(ar, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 16
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 16
+    for (int v = 0; v < V; ++v) {
+      _mm512_mask_storeu_pd(acc + r * ldacc + 8 * v,
+                            v == V - 1 ? tail : 0xFF, c[r][v]);
+    }
+  }
+}
+
+using Avx512Block = void (*)(double*, std::int64_t, const float*,
+                             std::int64_t, const float*, std::int64_t,
+                             std::int64_t, __mmask8);
+
+// [rows - 1][vectors - 1]: the full 6x16 block plus every row and column
+// remainder shape.
+constexpr Avx512Block kAvx512Blocks[kBlockRows][2] = {
+    {avx512_gemm_block<1, 1>, avx512_gemm_block<1, 2>},
+    {avx512_gemm_block<2, 1>, avx512_gemm_block<2, 2>},
+    {avx512_gemm_block<3, 1>, avx512_gemm_block<3, 2>},
+    {avx512_gemm_block<4, 1>, avx512_gemm_block<4, 2>},
+    {avx512_gemm_block<5, 1>, avx512_gemm_block<5, 2>},
+    {avx512_gemm_block<6, 1>, avx512_gemm_block<6, 2>},
+};
+
+void avx512_gemm_block_f64(double* acc, std::int64_t ldacc, const float* a,
+                           std::int64_t lda, const float* b, std::int64_t ldb,
+                           std::int64_t m, std::int64_t n, std::int64_t k) {
+  // Column blocks outer, row blocks inner: one k x 16 strip of B stays hot
+  // in L1 while every row block of A streams past it.
+  for (std::int64_t j0 = 0; j0 < n; j0 += kBlockCols) {
+    const std::int64_t cols = std::min(kBlockCols, n - j0);
+    const std::int64_t vecs = (cols + 7) / 8;
+    const auto tail =
+        static_cast<__mmask8>((1u << (cols - 8 * (vecs - 1))) - 1u);
+    for (std::int64_t i0 = 0; i0 < m; i0 += kBlockRows) {
+      const std::int64_t rows = std::min(kBlockRows, m - i0);
+      kAvx512Blocks[rows - 1][vecs - 1](acc + i0 * ldacc + j0, ldacc,
+                                        a + i0 * lda, lda, b + j0, ldb, k,
+                                        tail);
+    }
+  }
 }
 
 void avx512_axpy_f32(float* y, const float* x, float a, std::int64_t n) {
@@ -190,7 +262,7 @@ double avx512_dot_f32(const float* x, const float* y, std::int64_t n) {
 
 const Ops* avx512_ops() {
   static const Ops table = {
-      Isa::kAvx512,         avx512_gemm_update_f64, avx512_axpy_f32,
+      Isa::kAvx512,         avx512_gemm_block_f64,  avx512_axpy_f32,
       avx512_scale_f32,     avx512_add_f32,         avx512_sub_f32,
       avx512_rsub_f32,      avx512_mul_f32,         avx512_bf16_round_f32,
       avx512_fft_butterfly_f64, avx512_cmul_f64,    avx512_dot_f32,

@@ -31,7 +31,20 @@ void neon_gemm_update_f64(double* acc, const float* b, double a,
     vst1q_f64(acc + j + 2,
               vaddq_f64(vld1q_f64(acc + j + 2), vmulq_f64(va, hi)));
   }
-  if (j < n) scalar_gemm_update_f64(acc + j, b + j, a, n - j);
+  for (; j < n; ++j) acc[j] += a * static_cast<double>(b[j]);
+}
+
+// Row-update order, like the scalar reference, built from the row kernel
+// above; a register-blocked NEON kernel needs an aarch64 CI runner first.
+void neon_gemm_block_f64(double* acc, std::int64_t ldacc, const float* a,
+                         std::int64_t lda, const float* b, std::int64_t ldb,
+                         std::int64_t m, std::int64_t n, std::int64_t k) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t q = 0; q < k; ++q) {
+      neon_gemm_update_f64(acc + i * ldacc, b + q * ldb,
+                           static_cast<double>(a[i * lda + q]), n);
+    }
+  }
 }
 
 void neon_axpy_f32(float* y, const float* x, float a, std::int64_t n) {
@@ -186,7 +199,7 @@ double neon_dot_f32(const float* x, const float* y, std::int64_t n) {
 
 const Ops* neon_ops() {
   static const Ops table = {
-      Isa::kNeon,         neon_gemm_update_f64, neon_axpy_f32,
+      Isa::kNeon,         neon_gemm_block_f64,  neon_axpy_f32,
       neon_scale_f32,     neon_add_f32,         neon_sub_f32,
       neon_rsub_f32,      neon_mul_f32,         neon_bf16_round_f32,
       neon_fft_butterfly_f64, neon_cmul_f64,    neon_dot_f32,

@@ -59,6 +59,11 @@ class Request {
   /// shape matches (zero-allocation steady state).
   Tensor output;
   std::int64_t enqueue_ns = 0;    // admission timestamp
+  /// Deadline this submission is shed against: `deadline_ns`, or admission
+  /// time + the service default when `deadline_ns` is 0 (0 = never shed).
+  /// Set on every submit; `deadline_ns` itself is never rewritten, so a
+  /// rearmed request gets a fresh default deadline.
+  std::int64_t effective_deadline_ns = 0;
   std::int64_t done_ns = 0;       // completion timestamp
   std::uint64_t arrival_seq = 0;  // service-wide admission order
   std::int64_t batch_size = 0;    // size of the batch this request rode in
@@ -88,6 +93,7 @@ class Request {
     std::lock_guard<std::mutex> lock(mutex_);
     status_ = RequestStatus::kIdle;
     enqueue_ns = 0;
+    effective_deadline_ns = 0;
     done_ns = 0;
     batch_size = 0;
     served_eager = false;

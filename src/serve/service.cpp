@@ -39,8 +39,9 @@ bool Service::submit(Request* request) {
   const std::int64_t now = clock_->now_ns();
   request->enqueue_ns = now;
   request->arrival_seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  request->effective_deadline_ns = request->deadline_ns;
   if (request->deadline_ns == 0 && config_.default_deadline_us > 0) {
-    request->deadline_ns = now + config_.default_deadline_us * 1000;
+    request->effective_deadline_ns = now + config_.default_deadline_us * 1000;
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
   request->mark_queued();
@@ -69,7 +70,8 @@ void Service::dispatch(std::vector<Request*>& batch, BatchScratch& scratch) {
   const std::int64_t now = clock_->now_ns();
   std::size_t live = 0;
   for (Request* request : batch) {
-    if (request->deadline_ns > 0 && now > request->deadline_ns) {
+    if (request->effective_deadline_ns > 0 &&
+        now > request->effective_deadline_ns) {
       shed_.fetch_add(1, std::memory_order_relaxed);
       ORBIT2_OBS_COUNT("serve/shed", 1);
       request->complete(RequestStatus::kShed, now);

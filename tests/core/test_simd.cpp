@@ -190,36 +190,86 @@ TEST(SimdMatrix, Bf16RoundF32AllBitClasses) {
       });
 }
 
-// ---- GEMM inner-loop row update (f64 accumulators, f32 operand) ------------
+// ---- GEMM register block (f64 accumulators, f32 operands) -----------------
 
-TEST(SimdMatrix, GemmUpdateF64) {
+TEST(SimdMatrix, GemmBlockF64RemaindersAndGuards) {
+  // Rows 1..7 and columns 1..17 cover every row/column remainder of the
+  // register blocks (AVX2 4x8, AVX-512 6x16) plus one past each; k spans
+  // empty, one step, the kernels' KC cache block (256) and one past it.
+  // The accumulator tile has a gap after each row (ldacc > n) and a guard
+  // tail; both must survive untouched, so a vector tail that writes past
+  // its column count fails the memcmp.
   const IsaRestore restore;
   const std::vector<simd::Isa> isas = simd::supported_isas();
+  constexpr std::int64_t kKc = 256;
   std::uint64_t seed = 2000;
-  for (const std::int64_t n : kSizes) {
-    for (const std::int64_t off : kOffsets) {
-      const std::size_t used = static_cast<std::size_t>(off + n);
-      const std::size_t total = used + kGuard;
-      const std::vector<float> b = interesting_floats(total, seed++);
-      std::vector<double> acc_init = interesting_doubles(total, seed++);
-      for (std::size_t i = used; i < total; ++i) acc_init[i] = 12345.0;
-      const double a = -0.81234567890123456;
+  const std::int64_t ks[] = {0, 1, kKc, kKc + 1};
+  for (const std::int64_t k : ks) {
+    for (std::int64_t m = 1; m <= 7; ++m) {
+      for (std::int64_t n = 1; n <= 17; ++n) {
+        for (const std::int64_t off : {0, 1}) {
+          const std::int64_t ldacc = n + 3, lda = k + 1, ldb = n + 2;
+          const auto acc_total =
+              static_cast<std::size_t>(off + m * ldacc) + kGuard;
+          const std::vector<float> a = interesting_floats(
+              static_cast<std::size_t>(off + m * lda), seed++);
+          const std::int64_t b_rows = std::max<std::int64_t>(k, 1);
+          const std::vector<float> b = interesting_floats(
+              static_cast<std::size_t>(off + b_rows * ldb), seed++);
+          std::vector<double> acc_init = interesting_doubles(acc_total, seed++);
+          for (std::size_t i = 0; i < acc_total; ++i) {
+            const auto rel = static_cast<std::int64_t>(i) - off;
+            if (rel < 0 || rel >= m * ldacc || rel % ldacc >= n) {
+              acc_init[i] = 12345.0;
+            }
+          }
+          const auto run = [&](std::vector<double>& acc) {
+            simd::ops().gemm_block_f64(acc.data() + off, ldacc, a.data() + off,
+                                       lda, b.data() + off, ldb, m, n, k);
+          };
 
-      simd::set_isa(simd::Isa::kScalar);
-      std::vector<double> expected = acc_init;
-      simd::ops().gemm_update_f64(expected.data() + off, b.data() + off, a, n);
-
-      for (const simd::Isa isa : isas) {
-        simd::set_isa(isa);
-        std::vector<double> got = acc_init;
-        simd::ops().gemm_update_f64(got.data() + off, b.data() + off, a, n);
-        EXPECT_EQ(0, std::memcmp(got.data(), expected.data(),
-                                 total * sizeof(double)))
-            << "gemm_update_f64 diverged: isa=" << simd::isa_name(isa)
-            << " n=" << n << " off=" << off;
+          simd::set_isa(simd::Isa::kScalar);
+          std::vector<double> expected = acc_init;
+          run(expected);
+          for (const simd::Isa isa : isas) {
+            simd::set_isa(isa);
+            std::vector<double> got = acc_init;
+            run(got);
+            EXPECT_EQ(0, std::memcmp(got.data(), expected.data(),
+                                     acc_total * sizeof(double)))
+                << "gemm_block_f64 diverged: isa=" << simd::isa_name(isa)
+                << " m=" << m << " n=" << n << " k=" << k << " off=" << off;
+          }
+        }
       }
     }
   }
+}
+
+TEST(SimdMatrix, GemmBlockF64ScalarIsAscendingKTwoRounding) {
+  // Pins the reference itself: each element is acc, then + (a*b) per step
+  // in ascending k, one rounding each — the order the GEMM contract names.
+  const IsaRestore restore;
+  simd::set_isa(simd::Isa::kScalar);
+  const std::int64_t m = 3, n = 5, k = 9;
+  const std::vector<float> a = interesting_floats(m * k, 77);
+  const std::vector<float> b = interesting_floats(k * n, 78);
+  std::vector<double> acc = interesting_doubles(m * n, 79);
+  std::vector<double> want = acc;
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      double v = want[i * n + j];
+      for (std::int64_t q = 0; q < k; ++q) {
+        const double prod = static_cast<double>(a[i * k + q]) *
+                            static_cast<double>(b[q * n + j]);
+        v = v + prod;
+      }
+      want[i * n + j] = v;
+    }
+  }
+  simd::ops().gemm_block_f64(acc.data(), n, a.data(), k, b.data(), n, m, n, k);
+  EXPECT_EQ(0, std::memcmp(acc.data(), want.data(),
+                           acc.size() * sizeof(double)));
 }
 
 // ---- FFT butterfly and complex pointwise multiply --------------------------

@@ -314,6 +314,35 @@ TEST(ServeAdmission, ExpiredDeadlineShedsAtBatchAssembly) {
   EXPECT_EQ(service.stats().completed, 1);
 }
 
+TEST(ServeAdmission, RearmedRequestGetsFreshDefaultDeadline) {
+  // Regression: submit used to write the absolute default deadline into the
+  // caller's deadline_ns, so a rearmed, resubmitted request carried the
+  // first submission's deadline and was shed at once.
+  const auto model = make_model(serving_config(model::Architecture::kReslim),
+                                7);
+  ServiceConfig sc;
+  sc.manual = true;
+  sc.default_deadline_us = 50;
+  SimClock clock;
+  Service service(sc, &clock);
+
+  Request request;
+  request.model = model.get();
+  request.input = make_input(3, 10, 14, 0);
+  ASSERT_TRUE(service.submit(&request));
+  service.flush();
+  ASSERT_EQ(request.status(), RequestStatus::kOk);
+  EXPECT_EQ(request.deadline_ns, 0);
+
+  request.rearm();
+  clock.advance_by(60'000);  // past the first submission's default deadline
+  ASSERT_TRUE(service.submit(&request));
+  service.flush();
+  EXPECT_EQ(request.status(), RequestStatus::kOk);
+  EXPECT_EQ(service.stats().shed, 0);
+  EXPECT_EQ(service.stats().completed, 2);
+}
+
 TEST(ServeAdmission, ZeroDeadlineNeverSheds) {
   const auto model = make_model(serving_config(model::Architecture::kReslim),
                                 8);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "core/rng.hpp"
@@ -271,6 +272,58 @@ TEST(Conv2d, BiasApplied) {
   Tensor y = conv2d_forward(x, w, b, {1, 1, 1, 0});
   EXPECT_FLOAT_EQ(y.at(0, 0, 0), 1.5f);
   EXPECT_FLOAT_EQ(y.at(1, 1, 1), -2.5f);
+}
+
+// The two places where im2col + GEMM differs on purpose from a direct loop
+// that skips out-of-image taps (docs/API.md, conv determinism contract).
+
+TEST(Conv2d, PaddedTapWithNonFiniteWeightPropagatesNan) {
+  // A 1x1 image under a 3x3 kernel with pad 1: only the center tap reads
+  // the image, the other eight read padding. A padded tap contributes
+  // 0 * w, so an Inf or NaN weight there makes the output NaN.
+  for (const float bad : {std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()}) {
+    const Tensor x = Tensor::full(Shape{1, 1, 1}, 2.0f);
+    Tensor w = Tensor::zeros(Shape{1, 1, 3, 3});
+    w.at(0, 0, 1, 1) = 1.0f;
+    w.at(0, 0, 0, 0) = bad;
+    const Tensor b = Tensor::full(Shape{1}, 0.5f);
+    EXPECT_TRUE(std::isnan(conv2d_forward(x, w, b, {3, 3, 1, 1}).at(0, 0, 0)))
+        << "weight " << bad;
+    // Backward-input in gather form: tap (0, 0) maps the single input pixel
+    // to an output pixel outside the 1x1 grid, which gathers as 0.
+    const Tensor g = Tensor::full(Shape{1, 1, 1}, 1.0f);
+    const Tensor gi = conv2d_backward_input(g, w, 1, 1, {3, 3, 1, 1});
+    EXPECT_TRUE(std::isnan(gi.at(0, 0, 0))) << "weight " << bad;
+  }
+}
+
+TEST(Conv2d, NegativeZeroBiasOverZeroProductsGivesPositiveZero) {
+  // The bias is the first term of a sum that starts at +0.0, so -0.0 plus
+  // all-zero products is +0.0.
+  const Tensor x = Tensor::zeros(Shape{1, 2, 2});
+  const Tensor w = Tensor::zeros(Shape{1, 1, 1, 1});
+  const Tensor b = Tensor::full(Shape{1}, -0.0f);
+  const Tensor y = conv2d_forward(x, w, b, {1, 1, 1, 0});
+  for (std::int64_t i = 0; i < y.numel(); ++i) {
+    EXPECT_EQ(y.data()[static_cast<std::size_t>(i)], 0.0f);
+    EXPECT_FALSE(std::signbit(y.data()[static_cast<std::size_t>(i)])) << i;
+  }
+}
+
+TEST(Conv2d, ZeroWidthInputRoundTripsEmptyShapes) {
+  // A 2x0 image under a 1x1 kernel with pad 1 has a 4x2 output (padding
+  // only); the input gradient is an empty 2x0 plane again.
+  const Tensor x(Shape{1, 2, 0});
+  const Tensor w = Tensor::full(Shape{1, 1, 1, 1}, 2.0f);
+  const Tensor b = Tensor::full(Shape{1}, 0.5f);
+  const Tensor y = conv2d_forward(x, w, b, {1, 1, 1, 1});
+  ASSERT_EQ(y.shape(), Shape({1, 4, 2}));
+  for (std::int64_t i = 0; i < y.numel(); ++i) {
+    EXPECT_EQ(y.data()[static_cast<std::size_t>(i)], 0.5f);
+  }
+  const Tensor gi = conv2d_backward_input(y, w, 2, 0, {1, 1, 1, 1});
+  EXPECT_EQ(gi.shape(), Shape({1, 2, 0}));
 }
 
 TEST(Conv2d, BackwardInputMatchesFiniteDifference) {
