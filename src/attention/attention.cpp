@@ -126,8 +126,8 @@ void flash_forward_body(const float* pq, const float* pk, const float* pv,
                         float scale, const FlashParams& params) {
   const std::int64_t q_blocks = (nq + params.block_q - 1) / params.block_q;
   // Score tiles are GEMM-NT: each score is one ascending-t double dot, the
-  // order the GEMM pins. Rescales and axpy updates route through the simd
-  // tier.
+  // order the GEMM pins. Rescales and the P·V row block route through the
+  // simd tier.
   const simd::Ops& sops = simd::ops();
   kernels::parallel_for(q_blocks, 1, [&](std::int64_t qb0, std::int64_t qb1) {
     // Per-thread grow-only scratch: score tile and running row statistics
@@ -185,13 +185,18 @@ void flash_forward_body(const float* pq, const float* pk, const float* pv,
           sops.scale_f32(orow, correction, dv);
           row_sum[static_cast<std::size_t>(i - q0)] *= correction;
 
+          // The score row becomes this block's probabilities.
           for (std::int64_t j = 0; j < bk; ++j) {
             const float p = std::exp(srow[j] - new_max);
+            srow[j] = p;
             row_sum[static_cast<std::size_t>(i - q0)] += p;
-            sops.axpy_f32(orow, pv + (k0 + j) * dv, p, dv);
           }
           row_max[static_cast<std::size_t>(i - q0)] = new_max;
         }
+        // O_b += P V_b: each output row still gets its rescale first, then
+        // one mul-then-add per key in ascending j.
+        sops.pv_rows_f32(po + q0 * dv, dv, scores.data(), bk, pv + k0 * dv, dv,
+                         q1 - q0, dv, bk);
       }
 
       // Final normalization and log-sum-exp bookkeeping for this block.
@@ -351,18 +356,19 @@ AttentionGrads attention_flash_backward(const AttentionContext& ctx,
       for (std::int64_t k0 = 0; k0 < nk; k0 += params.block_kv) {
         const std::int64_t bk = std::min(nk, k0 + params.block_kv) - k0;
         recompute_tiles(q0, q1, k0, bk, probs, dp);
+        // The probs tile becomes dS_ij = p * (dP_ij - D_i), scaled; then
+        // dQ_b += dS K_b, ascending j per row.
         for (std::int64_t i = q0; i < q1; ++i) {
-          const float* prow = probs + (i - q0) * bk;
+          float* prow = probs + (i - q0) * bk;
           const float* dprow = dp + (i - q0) * bk;
-          float* dqrow = pdq + i * d;
           for (std::int64_t j = 0; j < bk; ++j) {
-            // dS_ij = p * (dP_ij - D_i), scaled.
-            const float ds = prow[j] *
-                             (dprow[j] - delta[static_cast<std::size_t>(i)]) *
-                             ctx.scale;
-            sops.axpy_f32(dqrow, pk + (k0 + j) * d, ds, d);
+            prow[j] = prow[j] *
+                      (dprow[j] - delta[static_cast<std::size_t>(i)]) *
+                      ctx.scale;
           }
         }
+        sops.pv_rows_f32(pdq + q0 * d, d, probs, bk, pk + k0 * d, d, q1 - q0,
+                         d, bk);
       }
     }
   });

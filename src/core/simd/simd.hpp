@@ -4,11 +4,12 @@
 // The kernel substrate (core/kernels.hpp) made every hot path thread-parallel
 // and bit-stable, but left all inner arithmetic scalar. This layer supplies
 // the vectorized inner loops: a small set of primitive microkernels (GEMM
-// register blocks, radix-2 FFT butterflies, contiguous elementwise stages,
-// row rescales, bf16 convert-and-round) behind one function-pointer table
-// selected once at startup from the host ISA (AVX-512 > AVX2 > NEON >
-// scalar) and overridable with `ORBIT2_SIMD=scalar|avx2|avx512|neon` for
-// testing.
+// register blocks, flash attention's P·V row block, radix-2 FFT
+// butterflies, contiguous elementwise stages, GELU forward/backward on a
+// repo-owned tanh, row rescales, bf16 convert-and-round) behind one
+// function-pointer table selected once at startup from the host ISA
+// (AVX-512 > AVX2 > NEON > scalar) and overridable with
+// `ORBIT2_SIMD=scalar|avx2|avx512|neon` for testing.
 //
 // Determinism contract (the reason these kernels are hand-written instead of
 // relying on compiler auto-vectorization):
@@ -21,6 +22,11 @@
 //   * No fused multiply-add: `y += a * x` is one rounded multiply then one
 //     rounded add, matching the baseline scalar build (the simd TUs compile
 //     with -ffp-contract=off so the compiler cannot contract them either).
+//   * Transcendentals are repo-owned scalar code (GELU's tanh is a
+//     transcription of fdlibm's tanhf/expm1f, see scalar_ref.hpp). A vector
+//     port runs every branch's exact operation sequence in every lane and
+//     selects the result by branch mask, so it matches the reference on all
+//     2^32 inputs.
 //   * No horizontal reductions inside element-parallel primitives. The one
 //     reducing primitive, dot_f32, uses a FIXED logical lane count
 //     (kReduceLanes): element i accumulates into double lane (i % 8), and
@@ -78,6 +84,24 @@ struct Ops {
   /// y[i] += a * x[i] (rounded multiply then rounded add, float).
   void (*axpy_f32)(float* y, const float* x, float a, std::int64_t n);
 
+  /// Row block of probability-weighted value sums (flash attention's P·V):
+  ///   o[r*ldo + t] += p[r*ldp + j] * v[j*ldv + t]
+  /// for r < rows, t < n, and j = 0, 1, ..., k-1 in that order; each step is
+  /// one rounded float multiply then one rounded float add. Every output
+  /// element is exactly what `rows * k` axpy_f32 calls in ascending j give.
+  /// AVX2 and AVX-512 keep a block of output rows in registers across j.
+  void (*pv_rows_f32)(float* o, std::int64_t ldo, const float* p,
+                      std::int64_t ldp, const float* v, std::int64_t ldv,
+                      std::int64_t rows, std::int64_t n, std::int64_t k);
+
+  /// In-place tanh-approximation GELU: y[i] = gelu_ref(y[i]).
+  void (*gelu_f32)(float* y, std::int64_t n);
+
+  /// GELU backward: gx[i] = gy[i] * gelu_grad_ref(x[i]). gx may alias x or
+  /// gy (element i is read before it is written).
+  void (*gelu_backward_f32)(float* gx, const float* x, const float* gy,
+                            std::int64_t n);
+
   /// y[i] *= a.
   void (*scale_f32)(float* y, float a, std::int64_t n);
 
@@ -113,6 +137,16 @@ struct Ops {
   /// be switched to it without re-pinning their goldens.
   double (*dot_f32)(const float* x, const float* y, std::int64_t n);
 };
+
+/// The scalar reference of one element, out of line in a -ffp-contract=off
+/// TU so every caller gets the reference bits (an inline copy in a default
+/// TU could be contracted to FMA on targets that have it).
+///   tanh_ref:      fdlibm tanhf, transcribed (bitwise equal to glibc's).
+///   gelu_ref:      0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
+///   gelu_grad_ref: d(gelu_ref)/dx in the same operation order.
+float tanh_ref(float x);
+float gelu_ref(float x);
+float gelu_grad_ref(float x);
 
 /// The active table. First call resolves the ISA (ORBIT2_SIMD env override,
 /// else best supported) and logs the choice at debug level.

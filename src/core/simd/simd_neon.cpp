@@ -195,14 +195,38 @@ double neon_dot_f32(const float* x, const float* y, std::int64_t n) {
   return acc;
 }
 
+// P·V keeps the per-score NEON axpy loop flash attention ran before the row
+// block existed; GELU runs the scalar reference. A register-blocked P·V and
+// a lane-wise tanh need an aarch64 host to test on.
+void neon_pv_rows_f32(float* o, std::int64_t ldo, const float* p,
+                      std::int64_t ldp, const float* v, std::int64_t ldv,
+                      std::int64_t rows, std::int64_t n, std::int64_t k) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t j = 0; j < k; ++j) {
+      neon_axpy_f32(o + r * ldo, v + j * ldv, p[r * ldp + j], n);
+    }
+  }
+}
+
 }  // namespace
 
 const Ops* neon_ops() {
   static const Ops table = {
-      Isa::kNeon,         neon_gemm_block_f64,  neon_axpy_f32,
-      neon_scale_f32,     neon_add_f32,         neon_sub_f32,
-      neon_rsub_f32,      neon_mul_f32,         neon_bf16_round_f32,
-      neon_fft_butterfly_f64, neon_cmul_f64,    neon_dot_f32,
+      .isa = Isa::kNeon,
+      .gemm_block_f64 = neon_gemm_block_f64,
+      .axpy_f32 = neon_axpy_f32,
+      .pv_rows_f32 = neon_pv_rows_f32,
+      .gelu_f32 = scalar_gelu_f32,
+      .gelu_backward_f32 = scalar_gelu_backward_f32,
+      .scale_f32 = neon_scale_f32,
+      .add_f32 = neon_add_f32,
+      .sub_f32 = neon_sub_f32,
+      .rsub_f32 = neon_rsub_f32,
+      .mul_f32 = neon_mul_f32,
+      .bf16_round_f32 = neon_bf16_round_f32,
+      .fft_butterfly_f64 = neon_fft_butterfly_f64,
+      .cmul_f64 = neon_cmul_f64,
+      .dot_f32 = neon_dot_f32,
   };
   return &table;
 }

@@ -270,7 +270,7 @@ void Executor::run_elementwise(const GraphOp& op) {
                 case EwKind::kMulCA: cur = cur * aux[i]; break;
                 case EwKind::kMulAC: cur = aux[i] * cur; break;
                 case EwKind::kScale: cur = cur * st.scalar; break;
-                case EwKind::kGelu: cur = gelu_scalar(cur); break;
+                case EwKind::kGelu: cur = simd::gelu_ref(cur); break;
                 case EwKind::kAddBiasRows: cur = cur + aux[i % st.a]; break;
                 case EwKind::kAddTableRow:
                   cur = cur + aux[st.b * st.a + i % st.a];
@@ -287,13 +287,12 @@ void Executor::run_elementwise(const GraphOp& op) {
   }
 
   // Out of place: stage-major over the cache-resident chunk, so each stage
-  // is one contiguous simd primitive call (gelu stays scalar — it is not a
-  // lane-wise primitive). Every element still sees the same operations in
-  // the same order as the element-major loop, so results are bitwise
-  // identical. The AC variants share the CA primitives: a+b and b+a (and
-  // a*b / b*a) round identically for every non-NaN input, and for NaN
-  // payloads the operand order was already compiler-chosen in the scalar
-  // loops this replaces.
+  // is one contiguous simd primitive call. Every element still sees the
+  // same operations in the same order as the element-major loop, so results
+  // are bitwise identical. The AC variants share the CA primitives: a+b and
+  // b+a (and a*b / b*a) round identically for every non-NaN input, and for
+  // NaN payloads the operand order was already compiler-chosen in the
+  // scalar loops this replaces.
   const simd::Ops& sops = simd::ops();
   kernels::parallel_for(
       out.numel(), kEwGrain, [&](std::int64_t i0, std::int64_t i1) {
@@ -323,9 +322,7 @@ void Executor::run_elementwise(const GraphOp& op) {
               sops.scale_f32(dst + i0, st.scalar, i1 - i0);
               break;
             case EwKind::kGelu:
-              for (std::int64_t i = i0; i < i1; ++i) {
-                dst[i] = gelu_scalar(dst[i]);
-              }
+              sops.gelu_f32(dst + i0, i1 - i0);
               break;
             // Row-indexed adds run as contiguous per-row segments so each
             // segment is one primitive call, like the eager row loops they

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <vector>
 
 #include "core/crc32.hpp"
@@ -270,6 +271,123 @@ TEST(SimdMatrix, GemmBlockF64ScalarIsAscendingKTwoRounding) {
   simd::ops().gemm_block_f64(acc.data(), n, a.data(), k, b.data(), n, m, n, k);
   EXPECT_EQ(0, std::memcmp(acc.data(), want.data(),
                            acc.size() * sizeof(double)));
+}
+
+// ---- flash attention's P·V row block (f32) ---------------------------------
+
+TEST(SimdMatrix, PvRowsF32RemaindersAndGuards) {
+  // Rows 1..5 and columns 1..33 cover every row and column remainder of the
+  // register blocks (AVX2 4 rows x 16, AVX-512 4 rows x 64 floats) plus
+  // one past; k spans empty, one step, and one below / at / above the
+  // 64-key flash block. Row gaps (ldo > n) and a guard tail must survive.
+  const IsaRestore restore;
+  const std::vector<simd::Isa> isas = simd::supported_isas();
+  std::uint64_t seed = 5000;
+  for (const std::int64_t k : {0, 1, 63, 64, 65}) {
+    for (std::int64_t rows = 1; rows <= 5; ++rows) {
+      for (std::int64_t n = 1; n <= 33; ++n) {
+        for (const std::int64_t off : {0, 1}) {
+          const std::int64_t ldo = n + 3, ldp = k + 1, ldv = n + 2;
+          const auto o_total =
+              static_cast<std::size_t>(off + rows * ldo) + kGuard;
+          const std::vector<float> p = interesting_floats(
+              static_cast<std::size_t>(off + rows * ldp), seed++);
+          const std::int64_t v_rows = std::max<std::int64_t>(k, 1);
+          const std::vector<float> v = interesting_floats(
+              static_cast<std::size_t>(off + v_rows * ldv), seed++);
+          std::vector<float> o_init = interesting_floats(o_total, seed++);
+          for (std::size_t i = 0; i < o_total; ++i) {
+            const auto rel = static_cast<std::int64_t>(i) - off;
+            if (rel < 0 || rel >= rows * ldo || rel % ldo >= n) {
+              o_init[i] = 12345.0f;
+            }
+          }
+          const auto run = [&](std::vector<float>& o) {
+            simd::ops().pv_rows_f32(o.data() + off, ldo, p.data() + off, ldp,
+                                    v.data() + off, ldv, rows, n, k);
+          };
+
+          simd::set_isa(simd::Isa::kScalar);
+          std::vector<float> expected = o_init;
+          run(expected);
+          for (const simd::Isa isa : isas) {
+            simd::set_isa(isa);
+            std::vector<float> got = o_init;
+            run(got);
+            EXPECT_EQ(0, std::memcmp(got.data(), expected.data(),
+                                     o_total * sizeof(float)))
+                << "pv_rows_f32 diverged: isa=" << simd::isa_name(isa)
+                << " rows=" << rows << " n=" << n << " k=" << k
+                << " off=" << off;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdMatrix, PvRowsF32ScalarIsAscendingJTwoRounding) {
+  // Pins the reference itself: each output is o, then + (p*v) per key in
+  // ascending j, one float rounding each.
+  const IsaRestore restore;
+  simd::set_isa(simd::Isa::kScalar);
+  const std::int64_t rows = 3, n = 7, k = 11;
+  const std::vector<float> p = interesting_floats(rows * k, 81);
+  const std::vector<float> v = interesting_floats(k * n, 82);
+  std::vector<float> o = interesting_floats(rows * n, 83);
+  std::vector<float> want = o;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t t = 0; t < n; ++t) {
+      float acc = want[r * n + t];
+      for (std::int64_t j = 0; j < k; ++j) {
+        const float prod = p[r * k + j] * v[j * n + t];
+        acc = acc + prod;
+      }
+      want[r * n + t] = acc;
+    }
+  }
+  simd::ops().pv_rows_f32(o.data(), n, p.data(), k, v.data(), n, rows, n, k);
+  EXPECT_EQ(0, std::memcmp(o.data(), want.data(), o.size() * sizeof(float)));
+}
+
+// ---- GELU on the repo-owned tanh -------------------------------------------
+// ContractionGrid.gelu_* sweeps all 2^32 inputs; these cover sizes, offsets
+// and guards around the vector tails.
+
+TEST(SimdMatrix, GeluF32) {
+  expect_f32_matrix_bitwise(
+      "gelu_f32", [](const simd::Ops& o, float* d, const float*,
+                     std::int64_t n) { o.gelu_f32(d, n); });
+}
+
+TEST(SimdMatrix, GeluBackwardF32) {
+  // dst holds gy on entry; the primitive writes gx over it (gx may alias
+  // gy, as each element reads gy[i] before writing gx[i]).
+  expect_f32_matrix_bitwise(
+      "gelu_backward_f32", [](const simd::Ops& o, float* d, const float* s,
+                              std::int64_t n) {
+        o.gelu_backward_f32(d, s, d, n);
+      });
+}
+
+struct TanhPin {
+  std::uint32_t in;
+  std::uint32_t out;
+};
+
+constexpr TanhPin kTanhPins[] = {
+#include "tanh_pins.inc"
+};
+
+TEST(SimdGelu, TanhReferenceMatchesPinnedTable) {
+  // The pins come from glibc's tanhf (see tanh_pins.inc), so this holds on
+  // any libm: the reference, not the host's std::tanh, defines GELU's bits.
+  EXPECT_GT(std::size(kTanhPins), 2000u);
+  for (const TanhPin& pin : kTanhPins) {
+    const float got = simd::tanh_ref(std::bit_cast<float>(pin.in));
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got), pin.out)
+        << std::hex << "tanh_ref(0x" << pin.in << ")";
+  }
 }
 
 // ---- FFT butterfly and complex pointwise multiply --------------------------

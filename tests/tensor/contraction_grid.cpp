@@ -1,15 +1,23 @@
-// Bitwise reference grid for the contractions that run on kernels::gemm.
+// Bitwise reference grid for the contractions that run on kernels::gemm and
+// the simd tier's lane-wise GELU.
 //
-// conv2d forward and backward-input (im2col + GEMM) and the flash-attention
-// score tiles (GEMM-NT) must reproduce, byte for byte, the direct loop
-// nests they replaced. Those loop nests live on here, serial and written
-// with plain loops, as the references. One invocation checks one kernel
-// family under one forced ISA and one kernel thread count over a grid of
-// shapes; tests/CMakeLists.txt generates one ctest per (kernel, ISA,
-// threads) cell.
+// conv2d forward and backward-input (im2col + GEMM) and flash attention
+// (GEMM-NT score tiles, P·V row blocks) must reproduce, byte for byte, the
+// direct loop nests they replaced. Those loop nests live on here, serial
+// and written with plain loops, as the references. One invocation checks
+// one kernel family under one forced ISA and one kernel thread count over a
+// grid of shapes; tests/CMakeLists.txt generates one ctest per (kernel,
+// ISA, threads) cell.
 //
-//   contraction_grid --kernel=conv_fwd|conv_bwd_input|flash
-//                    --isa=scalar|avx2|avx512|neon --threads=N
+// The gelu family sweeps float bit patterns through the active table's
+// gelu_f32 and gelu_backward_f32 against the scalar reference
+// (simd::gelu_ref / gelu_grad_ref): every 2^32 pattern at --stride=1, or
+// every stride-th pattern plus every branch-boundary pattern otherwise.
+// tanh_libm (not a ctest cell: it depends on the host's libm) runs the same
+// sweep of simd::tanh_ref against std::tanh.
+//
+//   contraction_grid --kernel=conv_fwd|conv_bwd_input|flash|gelu|tanh_libm
+//                    --isa=scalar|avx2|avx512|neon --threads=N [--stride=S]
 //
 // Exit 0 when every case matches, 1 on any mismatch (each one is printed),
 // 2 on a usage error, 77 when the host cannot run the ISA (ctest SKIP).
@@ -19,9 +27,11 @@
 // all-zero products); test_tensor.cpp pins those separately.
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -327,12 +337,15 @@ void run_conv(bool backward_input, Tally& tally) {
 
 void run_flash(Tally& tally) {
   // {nq, nk, d, dv, block_q, block_kv}: nq and nk are never multiples of
-  // both blocks, and the last row is one padded 20x36 TILES tile's 180
-  // tokens at head dim 16.
+  // both blocks; d and dv span the P·V blocks' vector remainders (8, 16,
+  // 24, 33 against 8- and 16-float vectors); the 180x180 rows are one
+  // padded 20x36 TILES tile's tokens.
   const std::int64_t shapes[][6] = {
-      {1, 5, 3, 2, 4, 4},      {17, 23, 8, 8, 4, 8},
-      {33, 47, 4, 5, 7, 5},    {65, 63, 16, 16, 64, 64},
-      {100, 37, 9, 13, 16, 8}, {180, 180, 16, 16, 64, 64}};
+      {1, 5, 3, 2, 4, 4},       {17, 23, 8, 8, 4, 8},
+      {33, 47, 4, 5, 7, 5},     {65, 63, 16, 16, 64, 64},
+      {100, 37, 9, 13, 16, 8},  {180, 180, 16, 16, 64, 64},
+      {45, 70, 24, 24, 16, 32}, {38, 29, 33, 33, 5, 64},
+      {66, 67, 16, 24, 64, 65}, {180, 180, 8, 33, 64, 64}};
   std::uint64_t seed = 100;
   for (const auto& s : shapes) {
     const std::string name =
@@ -366,10 +379,165 @@ void run_flash(Tally& tally) {
   }
 }
 
+// ---- GELU: bit-pattern sweep against the scalar reference -------------------
+
+// The approximation's tanh argument, in the reference's operation order;
+// only used to place boundary patterns, so a contracted copy would merely
+// shift them by an ulp.
+float gelu_inner(float x) {
+  return 0.7978845608028654f * (x + 0.044715f * x * x * x);
+}
+
+std::uint32_t bits_of(float v) {
+  std::uint32_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+float float_of(std::uint32_t b) {
+  float v;
+  std::memcpy(&v, &b, sizeof(v));
+  return v;
+}
+
+/// Smallest non-negative float bit pattern p with pred(p) true; pred must be
+/// monotone over [0, 0x7f800000].
+template <typename Pred>
+std::uint32_t first_pattern(Pred pred) {
+  std::uint32_t lo = 0, hi = 0x7f800000u;
+  while (lo < hi) {
+    const std::uint32_t mid = lo + (hi - lo) / 2;
+    if (pred(mid)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+/// Patterns around every branch boundary of the reference, both signs:
+/// the x whose tanh argument first reaches each tanh/expm1 threshold (the
+/// tanh ones, the expm1 reduction ones on +-2|arg|, and every expm1 k
+/// edge), the float class edges, and NaN payloads.
+std::vector<std::uint32_t> gelu_boundary_patterns() {
+  // Thresholds on |tanh argument| bits.
+  std::vector<std::uint32_t> arg_thresholds = {
+      0x24000000u, 0x3f800000u, 0x41b00000u, 0x7f800000u,  // tanh
+      0x32800000u, 0x3e317218u, 0x3f051592u,  // expm1 of 2|arg|, halved
+  };
+  // expm1's k = (int)(invln2*a + 0.5) steps up at these a = 2|arg|.
+  for (int k = 2; k <= 64; ++k) {
+    const std::uint32_t a = first_pattern([k](std::uint32_t p) {
+      return static_cast<int>(1.4426950216f * float_of(p) + 0.5f) >= k;
+    });
+    arg_thresholds.push_back(a - 0x00800000u);  // a / 2
+  }
+  std::vector<std::uint32_t> out = {
+      0x00000000u, 0x00000001u, 0x007fffffu, 0x00800000u, 0x7f7fffffu,
+      0x7f800000u, 0x7f800001u, 0x7fc00000u, 0x7fc00001u, 0x7fffffffu,
+  };
+  for (const std::uint32_t t : arg_thresholds) {
+    const std::uint32_t x0 = first_pattern([t](std::uint32_t p) {
+      return (bits_of(gelu_inner(float_of(p))) & 0x7fffffffu) >= t;
+    });
+    for (std::uint32_t d = 0; d <= 6; ++d) {
+      if (x0 + d >= 3) out.push_back(x0 + d - 3);
+    }
+  }
+  const std::size_t positive = out.size();
+  for (std::size_t i = 0; i < positive; ++i) out.push_back(out[i] | 0x80000000u);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+/// One batch of x patterns: the library's gelu_f32 and gelu_backward_f32
+/// (at each gy) against the per-element scalar reference; tanh_libm checks
+/// simd::tanh_ref against std::tanh instead. Returns the mismatch count and
+/// prints the first few.
+std::int64_t check_gelu_batch(const std::vector<float>& x, bool against_libm,
+                              std::atomic<int>& printed) {
+  constexpr float kGys[] = {1.0f, -0.75f, 0x1p-140f, 3e38f};
+  const auto n = static_cast<std::int64_t>(x.size());
+  std::vector<float> got(x.size()), want(x.size()), gy(x.size());
+  std::int64_t bad = 0;
+  const auto compare = [&](const char* what, float g) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (bits_of(got[i]) == bits_of(want[i])) continue;
+      ++bad;
+      if (printed.fetch_add(1) < 10) {
+        std::printf("MISMATCH %s x=0x%08x gy=%a got=0x%08x want=0x%08x\n",
+                    what, bits_of(x[i]), static_cast<double>(g),
+                    bits_of(got[i]), bits_of(want[i]));
+      }
+    }
+  };
+  if (against_libm) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      got[i] = simd::tanh_ref(x[i]);
+      want[i] = std::tanh(x[i]);
+    }
+    compare("tanh_ref vs std::tanh", 0.0f);
+    return bad;
+  }
+  const simd::Ops& sops = simd::ops();
+  got = x;
+  sops.gelu_f32(got.data(), n);
+  for (std::size_t i = 0; i < x.size(); ++i) want[i] = simd::gelu_ref(x[i]);
+  compare("gelu_f32", 0.0f);
+  std::vector<float> grad(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    grad[i] = simd::gelu_grad_ref(x[i]);
+  }
+  for (const float g : kGys) {
+    std::fill(gy.begin(), gy.end(), g);
+    sops.gelu_backward_f32(got.data(), x.data(), gy.data(), n);
+    for (std::size_t i = 0; i < x.size(); ++i) want[i] = g * grad[i];
+    compare("gelu_backward_f32", g);
+  }
+  return bad;
+}
+
+void run_gelu(std::uint32_t stride, bool against_libm, Tally& tally) {
+  // Batches of swept patterns spread over the kernel threads; the boundary
+  // patterns form one extra batch. The batch length is odd, so every batch
+  // ends in a partial vector and the tails are exercised too.
+  constexpr std::uint64_t kBatch = 4095;
+  const std::uint64_t swept = ((std::uint64_t{1} << 32) + stride - 1) / stride;
+  const auto batches = static_cast<std::int64_t>((swept + kBatch - 1) / kBatch);
+  std::atomic<std::int64_t> mismatches{0};
+  std::atomic<int> printed{0};
+  kernels::parallel_for(batches + 1, 1, [&](std::int64_t b0, std::int64_t b1) {
+    std::vector<float> x;
+    for (std::int64_t b = b0; b < b1; ++b) {
+      x.clear();
+      if (b == batches) {
+        for (const std::uint32_t p : gelu_boundary_patterns()) {
+          x.push_back(float_of(p));
+        }
+      } else {
+        const std::uint64_t first = static_cast<std::uint64_t>(b) * kBatch;
+        const std::uint64_t last = std::min(swept, first + kBatch);
+        for (std::uint64_t i = first; i < last; ++i) {
+          x.push_back(float_of(static_cast<std::uint32_t>(i * stride)));
+        }
+      }
+      mismatches += check_gelu_batch(x, against_libm, printed);
+    }
+  });
+  std::printf("%llu patterns (stride %u) + boundary set: %lld mismatches\n",
+              static_cast<unsigned long long>(swept), stride,
+              static_cast<long long>(mismatches.load()));
+  tally.check(mismatches.load() == 0,
+              against_libm ? "tanh_ref vs std::tanh" : "gelu sweep");
+}
+
 int usage() {
   std::fprintf(stderr,
-               "usage: contraction_grid --kernel=conv_fwd|conv_bwd_input|flash "
-               "--isa=scalar|avx2|avx512|neon --threads=N\n");
+               "usage: contraction_grid "
+               "--kernel=conv_fwd|conv_bwd_input|flash|gelu|tanh_libm "
+               "--isa=scalar|avx2|avx512|neon --threads=N [--stride=S]\n");
   return 2;
 }
 
@@ -380,6 +548,7 @@ int main(int argc, char** argv) {
   using namespace orbit2;
   std::string kernel, isa_text;
   long threads = 0;
+  long stride = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--kernel=", 0) == 0) {
@@ -388,12 +557,15 @@ int main(int argc, char** argv) {
       isa_text = arg.substr(6);
     } else if (arg.rfind("--threads=", 0) == 0) {
       threads = std::strtol(arg.c_str() + 10, nullptr, 10);
+    } else if (arg.rfind("--stride=", 0) == 0) {
+      stride = std::strtol(arg.c_str() + 9, nullptr, 10);
     } else {
       return usage();
     }
   }
   simd::Isa isa = simd::Isa::kScalar;
-  if (!simd::parse_isa_name(isa_text.c_str(), &isa) || threads < 1) {
+  if (!simd::parse_isa_name(isa_text.c_str(), &isa) || threads < 1 ||
+      stride < 1 || stride > 0x7fffffffL) {
     return usage();
   }
   if (!simd::isa_supported(isa)) {
@@ -408,6 +580,8 @@ int main(int argc, char** argv) {
     run_conv(kernel == "conv_bwd_input", tally);
   } else if (kernel == "flash") {
     run_flash(tally);
+  } else if (kernel == "gelu" || kernel == "tanh_libm") {
+    run_gelu(static_cast<std::uint32_t>(stride), kernel == "tanh_libm", tally);
   } else {
     return usage();
   }

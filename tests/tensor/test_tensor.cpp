@@ -9,6 +9,7 @@
 #include <numeric>
 
 #include "core/rng.hpp"
+#include "core/simd/simd.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
@@ -549,18 +550,18 @@ TEST(LayerNorm, BackwardMatchesFiniteDifference) {
 }
 
 TEST(Gelu, KnownValues) {
-  EXPECT_NEAR(gelu_scalar(0.0f), 0.0f, 1e-6f);
-  EXPECT_NEAR(gelu_scalar(10.0f), 10.0f, 1e-4f);   // saturates to identity
-  EXPECT_NEAR(gelu_scalar(-10.0f), 0.0f, 1e-4f);   // saturates to zero
-  EXPECT_GT(gelu_scalar(1.0f), 0.8f);
-  EXPECT_LT(gelu_scalar(-1.0f), 0.0f);
+  EXPECT_NEAR(simd::gelu_ref(0.0f), 0.0f, 1e-6f);
+  EXPECT_NEAR(simd::gelu_ref(10.0f), 10.0f, 1e-4f);   // saturates to identity
+  EXPECT_NEAR(simd::gelu_ref(-10.0f), 0.0f, 1e-4f);   // saturates to zero
+  EXPECT_GT(simd::gelu_ref(1.0f), 0.8f);
+  EXPECT_LT(simd::gelu_ref(-1.0f), 0.0f);
 }
 
 TEST(Gelu, GradMatchesFiniteDifference) {
   for (float x : {-3.0f, -1.0f, -0.1f, 0.0f, 0.5f, 2.0f}) {
     const float eps = 1e-3f;
-    const float fd = (gelu_scalar(x + eps) - gelu_scalar(x - eps)) / (2 * eps);
-    EXPECT_NEAR(gelu_grad_scalar(x), fd, 1e-3f) << x;
+    const float fd = (simd::gelu_ref(x + eps) - simd::gelu_ref(x - eps)) / (2 * eps);
+    EXPECT_NEAR(simd::gelu_grad_ref(x), fd, 1e-3f) << x;
   }
 }
 

@@ -5,11 +5,20 @@ Usage:
     orbit2_trace.py TRACE.json              # validate + print summary
     orbit2_trace.py --validate TRACE.json   # validate only (exit 1 on errors)
     orbit2_trace.py --top N TRACE.json      # show N top spans (default 15)
+    orbit2_trace.py --self TRACE.json       # add the per-name self-time table
 
 The input is the format written by orbit2::obs::write_chrome_trace():
 {"traceEvents": [...], ...} with "X" (complete) span events, "M" metadata
 events, and "C" counter events. Wall-clock spans live on pid 1, simulated
 hwsim time on pid 2. The same file loads in chrome://tracing and Perfetto.
+
+A span's self time is its duration minus the part covered by child spans
+on the same thread, so self times add up to the traced busy time where
+inclusive durations of nested spans do not. The kernel layer's dispatch
+spans (`parallel_for`, `parallel_reduce`) are transparent: a dispatch runs
+its caller's own loop, so its time stays with the caller and it reports no
+self time. `graph/op` spans are labeled by their OpKind (`graph/op:kMhsa`)
+instead of the bare `args.kind` number.
 """
 
 import argparse
@@ -18,6 +27,17 @@ import sys
 from collections import defaultdict
 
 VALID_PHASES = {"X", "M", "C"}
+
+# Spans whose time counts as their parent's own (see the module docstring).
+DISPATCH_SPANS = {"parallel_for", "parallel_reduce"}
+
+# orbit2::graph::OpKind enumerators in declaration order (src/graph/ir.hpp);
+# a ctest checks this table against the header.
+OP_KINDS = (
+    "kElementwise", "kMatmul", "kLayerNorm", "kSliceRows", "kConcatRows",
+    "kPermuteRows", "kConv2d", "kResizeBilinear", "kImageToTokens",
+    "kTokensToImage", "kMhsa", "kView", "kCustom",
+)
 
 
 def validate(trace):
@@ -64,22 +84,69 @@ def span_events(trace, simulated):
             yield ev
 
 
-def summarize(trace, top_n):
+def span_label(ev):
+    """Span name, with graph/op spans qualified by their OpKind name."""
+    name = ev["name"]
+    if name != "graph/op":
+        return name
+    kind = ev.get("args", {}).get("kind")
+    if isinstance(kind, int) and 0 <= kind < len(OP_KINDS):
+        return f"graph/op:{OP_KINDS[kind]}"
+    return f"graph/op:kind={kind}"
+
+
+def self_times(events):
+    """Yields (event, self_us): dur minus the time child spans on the same
+    (pid, tid) cover. Children are spans that start inside the parent; the
+    part of a child past its parent's end, or overlapping an earlier
+    sibling, is not subtracted twice. Dispatch spans yield 0 and are not
+    children."""
+    by_thread = defaultdict(list)
+    for ev in events:
+        if ev["name"] in DISPATCH_SPANS:
+            yield ev, 0.0
+        else:
+            by_thread[(ev.get("pid"), ev.get("tid"))].append(ev)
+    for evs in by_thread.values():
+        evs.sort(key=lambda e: (e["ts"], -e["dur"]))
+        stack = []  # [event, end, self_us, covered_until]
+        for ev in evs:
+            start = ev["ts"]
+            end = start + ev["dur"]
+            while stack and stack[-1][1] <= start:
+                done = stack.pop()
+                yield done[0], done[2]
+            if stack:
+                parent = stack[-1]
+                lo = max(start, parent[3])
+                hi = min(end, parent[1])
+                if hi > lo:
+                    parent[2] -= hi - lo
+                    parent[3] = hi
+            stack.append([ev, end, ev["dur"], start])
+        while stack:
+            done = stack.pop()
+            yield done[0], done[2]
+
+
+def summarize(trace, top_n, show_self=False):
     lines = []
     for simulated, label in ((False, "wall clock"), (True, "simulated clock")):
-        by_name = defaultdict(lambda: [0, 0.0])  # name -> [count, total_us]
-        by_cat = defaultdict(float)
-        for ev in span_events(trace, simulated):
-            entry = by_name[ev["name"]]
+        # label -> [count, total_us, self_us]
+        by_name = defaultdict(lambda: [0, 0.0, 0.0])
+        by_cat = defaultdict(float)  # category -> self_us
+        for ev, self_us in self_times(span_events(trace, simulated)):
+            entry = by_name[span_label(ev)]
             entry[0] += 1
             entry[1] += ev["dur"]
-            by_cat[ev.get("cat", "?")] += ev["dur"]
+            entry[2] += self_us
+            by_cat[ev.get("cat", "?")] += self_us
         if not by_name:
             continue
         lines.append(f"== spans ({label}) ==")
         lines.append(f"{'name':<32} {'count':>8} {'total ms':>12} {'mean us':>12}")
         ranked = sorted(by_name.items(), key=lambda kv: -kv[1][1])
-        for name, (count, total_us) in ranked[:top_n]:
+        for name, (count, total_us, _) in ranked[:top_n]:
             lines.append(
                 f"{name:<32} {count:>8} {total_us / 1000.0:>12.3f} "
                 f"{total_us / count:>12.1f}"
@@ -87,9 +154,22 @@ def summarize(trace, top_n):
         if len(ranked) > top_n:
             lines.append(f"... {len(ranked) - top_n} more span names")
         lines.append("")
-        lines.append(f"== per-category totals ({label}) ==")
-        for cat, total_us in sorted(by_cat.items(), key=lambda kv: -kv[1]):
-            lines.append(f"{cat:<32} {total_us / 1000.0:>12.3f} ms")
+        if show_self:
+            lines.append(f"== self time ({label}) ==")
+            lines.append(f"{'name':<32} {'count':>8} {'self ms':>12} "
+                         f"{'self us/call':>12} {'total ms':>12}")
+            ranked = sorted(by_name.items(), key=lambda kv: -kv[1][2])
+            for name, (count, total_us, self_us) in ranked[:top_n]:
+                lines.append(
+                    f"{name:<32} {count:>8} {self_us / 1000.0:>12.3f} "
+                    f"{self_us / count:>12.1f} {total_us / 1000.0:>12.3f}"
+                )
+            if len(ranked) > top_n:
+                lines.append(f"... {len(ranked) - top_n} more span names")
+            lines.append("")
+        lines.append(f"== per-category self time ({label}) ==")
+        for cat, self_us in sorted(by_cat.items(), key=lambda kv: -kv[1]):
+            lines.append(f"{cat:<32} {self_us / 1000.0:>12.3f} ms")
         lines.append("")
 
     counters = [
@@ -118,6 +198,9 @@ def main():
                         help="validate only; no summary output")
     parser.add_argument("--top", type=int, default=15, metavar="N",
                         help="top span names to show (default 15)")
+    parser.add_argument("--self", dest="show_self", action="store_true",
+                        help="also show per-name self time (duration minus "
+                             "same-thread child spans)")
     args = parser.parse_args()
 
     try:
@@ -138,7 +221,7 @@ def main():
     n_events = len(trace["traceEvents"])
     print(f"{args.trace}: valid ({n_events} events)")
     if not args.validate:
-        summary = summarize(trace, args.top)
+        summary = summarize(trace, args.top, args.show_self)
         if summary:
             print()
             print(summary)
