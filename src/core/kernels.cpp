@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -19,15 +18,12 @@ namespace orbit2::kernels {
 
 namespace {
 
-// Pool configuration. `configured_threads` == 0 means "resolve from the
-// environment"; the pool itself is rebuilt lazily after set_max_threads.
-std::mutex& pool_mutex() {
+// Configuration, touched only on the cold paths (team build/teardown,
+// max_threads() before the first dispatch). `configured_threads` == 0 means
+// "resolve from the environment".
+std::mutex& config_mutex() {
   static std::mutex m;
   return m;
-}
-std::unique_ptr<ThreadPool>& pool_slot() {
-  static std::unique_ptr<ThreadPool> pool;
-  return pool;
 }
 std::size_t& configured_threads() {
   static std::size_t n = 0;
@@ -55,7 +51,7 @@ std::size_t resolve_threads_locked() {
       }
       return fallback;
     }
-    // A pool far beyond the hardware only adds contention; clamp to a sane
+    // A team far beyond the hardware only adds contention; clamp to a sane
     // oversubscription ceiling.
     const std::size_t max_allowed = 4 * fallback;
     if (static_cast<unsigned long long>(parsed) > max_allowed) {
@@ -74,7 +70,7 @@ std::size_t resolve_threads_locked() {
 
 // Set while the current thread is executing a kernel chunk; nested kernel
 // invocations observe it and run inline (composition instead of
-// oversubscription, and no wait-for-own-pool deadlocks).
+// oversubscription, and no thread ever waits on work it would have to run).
 thread_local bool tl_in_parallel_region = false;
 
 struct RegionScope {
@@ -83,68 +79,142 @@ struct RegionScope {
   ~RegionScope() { tl_in_parallel_region = saved; }
 };
 
-/// Executes run(chunk) for chunk in [0, num_chunks). Chunks are pulled from
-/// a shared counter by the calling thread plus up to (pool workers) helper
-/// tasks, so which thread runs a chunk is dynamic — callers must make chunk
-/// *results* independent of assignment (disjoint writes or indexed partial
-/// slots). Blocks until every chunk and helper has finished; rethrows the
-/// first chunk exception.
-void run_chunks(std::int64_t num_chunks, FnRef<void(std::int64_t)> run) {
-  if (num_chunks <= 0) return;
-  const std::size_t threads = max_threads();
-  if (num_chunks == 1 || threads <= 1 || tl_in_parallel_region) {
-    // Inline serial execution. The region flag is left as-is: a one-chunk
-    // outer loop must not stop nested kernels from going parallel.
-    for (std::int64_t chunk = 0; chunk < num_chunks; ++chunk) run(chunk);
-    return;
-  }
-
-  struct Shared {
-    std::atomic<std::int64_t> next{0};
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    std::int64_t chunks_done = 0;
-    std::size_t helpers_finished = 0;
-    std::exception_ptr first_error;
-  };
-  auto shared = std::make_shared<Shared>();
-
-  auto drain = [shared, num_chunks, run] {
-    RegionScope scope;
-    for (;;) {
-      const std::int64_t chunk =
-          shared->next.fetch_add(1, std::memory_order_relaxed);
-      if (chunk >= num_chunks) return;
-      try {
-        run(chunk);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(shared->mutex);
-        if (!shared->first_error) shared->first_error = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(shared->mutex);
-      if (++shared->chunks_done == num_chunks) shared->done_cv.notify_all();
+/// The fixed worker team: `threads - 1` helpers plus whichever thread
+/// dispatches. One job slot; a dispatcher that finds it taken runs its
+/// chunks inline instead of queueing.
+///
+/// Wake-up: the owner publishes the job, opens it, bumps `epoch_` and
+/// notifies; helpers sleep in `epoch_.wait`. A helper joins by incrementing
+/// `inside_` and only then checks `open_`; the owner closes the job after
+/// its own drain and waits for `inside_` to reach 0. Both sides use seq_cst,
+/// so either the helper sees the job closed or the owner sees the helper
+/// inside — no helper reads the owner's FnRef after dispatch returns. Every
+/// chunk is claimed through `next_` and run before its claimer leaves, so
+/// `inside_` == 0 after the owner's drain also means every chunk is done.
+class Team {
+ public:
+  explicit Team(std::size_t threads) : threads_(threads) {
+    helpers_.reserve(threads - 1);
+    for (std::size_t h = 0; h + 1 < threads; ++h) {
+      helpers_.emplace_back([this] { helper_loop(); });
     }
-  };
-
-  const std::size_t helpers = std::min<std::size_t>(
-      threads - 1, static_cast<std::size_t>(num_chunks - 1));
-  ThreadPool& pool = global_pool();
-  for (std::size_t h = 0; h < helpers; ++h) {
-    pool.submit([shared, drain] {
-      drain();
-      std::lock_guard<std::mutex> lock(shared->mutex);
-      ++shared->helpers_finished;
-      shared->done_cv.notify_all();
-    });
   }
-  drain();  // the caller participates instead of blocking idle
 
-  std::unique_lock<std::mutex> lock(shared->mutex);
-  shared->done_cv.wait(lock, [&] {
-    return shared->chunks_done == num_chunks &&
-           shared->helpers_finished == helpers;
-  });
-  if (shared->first_error) std::rethrow_exception(shared->first_error);
+  ~Team() {
+    stop_.store(true);
+    epoch_.fetch_add(1);
+    epoch_.notify_all();
+    for (std::thread& helper : helpers_) helper.join();
+  }
+
+  Team(const Team&) = delete;
+  Team& operator=(const Team&) = delete;
+
+  std::size_t threads() const { return threads_; }
+
+  /// Runs every chunk with the helpers' help; false (nothing run) when
+  /// another dispatcher holds the slot.
+  bool try_run(std::int64_t num_chunks, FnRef<void(std::int64_t)> run) {
+    if (busy_.exchange(true, std::memory_order_acquire)) return false;
+    run_ = &run;
+    num_chunks_ = num_chunks;
+    next_.store(0, std::memory_order_relaxed);
+    open_.store(true);
+    epoch_.fetch_add(1);
+    epoch_.notify_all();
+    {
+      RegionScope scope;
+      drain();
+    }
+    open_.store(false);
+    for (int inside = inside_.load(); inside != 0; inside = inside_.load()) {
+      inside_.wait(inside);
+    }
+    std::exception_ptr error = std::move(first_error_);
+    first_error_ = nullptr;
+    failed_.store(false, std::memory_order_relaxed);
+    busy_.store(false, std::memory_order_release);
+    if (error) std::rethrow_exception(error);
+    return true;
+  }
+
+ private:
+  void drain() {
+    for (;;) {
+      const std::int64_t chunk = next_.fetch_add(1, std::memory_order_relaxed);
+      if (chunk >= num_chunks_) return;
+      try {
+        (*run_)(chunk);
+      } catch (...) {
+        if (!failed_.exchange(true)) first_error_ = std::current_exception();
+      }
+    }
+  }
+
+  void helper_loop() {
+    tl_in_parallel_region = true;  // every chunk a helper runs is nested
+    std::uint64_t seen = 0;
+    for (;;) {
+      epoch_.wait(seen);
+      seen = epoch_.load();
+      if (stop_.load()) return;
+      inside_.fetch_add(1);
+      if (open_.load()) drain();
+      if (inside_.fetch_sub(1) == 1) inside_.notify_one();
+    }
+  }
+
+  const std::size_t threads_;
+  std::vector<std::thread> helpers_;
+  std::atomic<bool> busy_{false};
+  std::atomic<std::uint64_t> epoch_{0};
+  std::atomic<bool> open_{false};
+  std::atomic<int> inside_{0};
+  std::atomic<bool> stop_{false};
+  // The job slot: written by the owner before `open_` is set, read by
+  // helpers only while they are inside an open job.
+  const FnRef<void(std::int64_t)>* run_ = nullptr;
+  std::int64_t num_chunks_ = 0;
+  std::atomic<std::int64_t> next_{0};
+  std::atomic<bool> failed_{false};
+  std::exception_ptr first_error_;
+};
+
+// The published team, read lock-free by every dispatch; built lazily under
+// config_mutex() and torn down by set_max_threads().
+std::atomic<Team*> g_team{nullptr};
+
+std::unique_ptr<Team>& team_owner() {
+  static std::unique_ptr<Team> owner;  // joins the helpers at exit
+  return owner;
+}
+
+Team& team() {
+  if (Team* t = g_team.load(std::memory_order_acquire)) return *t;
+  std::lock_guard<std::mutex> lock(config_mutex());
+  if (!team_owner()) {
+    team_owner() = std::make_unique<Team>(resolve_threads_locked());
+    g_team.store(team_owner().get(), std::memory_order_release);
+  }
+  return *team_owner();
+}
+
+/// Executes run(chunk) for chunk in [0, num_chunks). Chunks are pulled from
+/// a shared counter by the calling thread plus the team's helpers, so which
+/// thread runs a chunk is dynamic — callers must make chunk *results*
+/// independent of assignment (disjoint writes or indexed partial slots).
+/// Blocks until every chunk has finished; rethrows the first chunk
+/// exception.
+void run_chunks(std::int64_t num_chunks, FnRef<void(std::int64_t)> run) {
+  // Inline serial execution when nested, when there is one chunk, when the
+  // team has no helpers, or when another dispatcher holds the job slot.
+  // The region flag is left as-is: a one-chunk outer loop must not stop
+  // nested kernels from going parallel.
+  if (!tl_in_parallel_region && num_chunks > 1) {
+    Team& t = team();
+    if (t.threads() > 1 && t.try_run(num_chunks, run)) return;
+  }
+  for (std::int64_t chunk = 0; chunk < num_chunks; ++chunk) run(chunk);
 }
 
 std::int64_t num_chunks_for(std::int64_t count, std::int64_t grain) {
@@ -169,22 +239,18 @@ std::int64_t chunk_end(std::int64_t begin, std::int64_t count,
 }  // namespace
 
 std::size_t max_threads() {
-  std::lock_guard<std::mutex> lock(pool_mutex());
+  if (const Team* t = g_team.load(std::memory_order_acquire)) {
+    return t->threads();
+  }
+  std::lock_guard<std::mutex> lock(config_mutex());
   return resolve_threads_locked();
 }
 
 void set_max_threads(std::size_t n) {
-  std::lock_guard<std::mutex> lock(pool_mutex());
+  std::lock_guard<std::mutex> lock(config_mutex());
   configured_threads() = n;
-  pool_slot().reset();  // rebuilt lazily at the new size
-}
-
-ThreadPool& global_pool() {
-  std::lock_guard<std::mutex> lock(pool_mutex());
-  if (!pool_slot()) {
-    pool_slot() = std::make_unique<ThreadPool>(resolve_threads_locked());
-  }
-  return *pool_slot();
+  g_team.store(nullptr, std::memory_order_release);
+  team_owner().reset();  // joins the helpers; rebuilt by the next dispatch
 }
 
 bool in_parallel_region() { return tl_in_parallel_region; }
@@ -209,17 +275,22 @@ double parallel_reduce(std::int64_t count, std::int64_t grain,
   ORBIT2_OBS_SPAN_ARG("parallel_reduce", "kernels", "count", count);
   ORBIT2_OBS_COUNT("kernels.parallel_reduce_calls", 1);
   const std::int64_t chunks = num_chunks_for(count, grain);
-  // Partials land in per-chunk slots and are combined in ascending chunk
-  // order; the serial path runs the identical chunking, so the float/double
-  // addition order — and therefore the result — is thread-count-invariant.
-  std::vector<double> partials(static_cast<std::size_t>(chunks), 0.0);
-  run_chunks(chunks, [count, grain, chunk_fn, &partials](std::int64_t chunk) {
-    const std::int64_t begin = chunk_begin(chunk, grain);
-    partials[static_cast<std::size_t>(chunk)] =
-        chunk_fn(begin, chunk_end(begin, count, grain));
-  });
+  // Partials land in per-chunk slots and are added in ascending chunk
+  // order; the serial path runs the identical chunking, so the addition
+  // order — and therefore the result — is thread-count-invariant. The slots
+  // live on the stack, a window of chunks at a time, so a dispatch never
+  // touches the heap; the running total sees the same sequence of adds.
+  constexpr std::int64_t kWindow = 256;
+  double partials[kWindow];
   double total = 0.0;
-  for (const double partial : partials) total += partial;
+  for (std::int64_t first = 0; first < chunks; first += kWindow) {
+    const std::int64_t n = std::min(kWindow, chunks - first);
+    run_chunks(n, [count, grain, chunk_fn, first, &partials](std::int64_t i) {
+      const std::int64_t begin = chunk_begin(first + i, grain);
+      partials[i] = chunk_fn(begin, chunk_end(begin, count, grain));
+    });
+    for (std::int64_t i = 0; i < n; ++i) total += partials[i];
+  }
   return total;
 }
 

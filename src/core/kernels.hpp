@@ -3,7 +3,8 @@
 //
 // Every tensor/attention/autograd hot path dispatches through this one
 // substrate instead of hand-rolled per-file loops. It owns the process-wide
-// worker pool and provides:
+// worker team (in ORBIT-2 terms, the virtual GPUs TILES assigns tiles to)
+// and provides:
 //
 //   * parallel_for / parallel_reduce with grain-size-aware, *deterministic*
 //     chunking: chunk boundaries are a pure function of (count, grain) and
@@ -25,8 +26,6 @@
 #include <cstdint>
 #include <type_traits>
 #include <utility>
-
-#include "core/thread_pool.hpp"
 
 namespace orbit2::kernels {
 
@@ -62,17 +61,16 @@ class FnRef<R(Args...)> {
   R (*call_)(void*, Args...);
 };
 
-/// Number of threads kernel dispatch will use (>= 1).
+/// Number of threads kernel dispatch uses (>= 1): the built team's size,
+/// or, before the first dispatch, the size it would be built with.
 std::size_t max_threads();
 
 /// Overrides the kernel thread count; 0 restores the default resolution
-/// (ORBIT2_NUM_THREADS env, else hardware concurrency). Tears down and
-/// lazily rebuilds the global pool, so it must not be called while kernels
-/// are executing — intended for tests and benchmark sweeps.
+/// (ORBIT2_NUM_THREADS env, else hardware concurrency). Joins the worker
+/// team, which the next dispatch rebuilds at the new size, so it must not
+/// be called while kernels are executing — intended for tests and
+/// benchmark sweeps.
 void set_max_threads(std::size_t n);
-
-/// The process-wide pool, lazily constructed at max_threads() workers.
-ThreadPool& global_pool();
 
 /// True while the calling thread is executing a kernel chunk; nested kernel
 /// calls observe this and run inline.
@@ -80,9 +78,10 @@ bool in_parallel_region();
 
 /// Runs body(begin, end) over [0, count) in chunks of `grain` indices.
 /// Chunk boundaries are [0,g), [g,2g), ... regardless of thread count; the
-/// final chunk is short. Serial when nested, when only one chunk exists, or
-/// when only one thread is configured. Exceptions from chunks are rethrown
-/// on the calling thread after all chunks finish.
+/// final chunk is short. Serial when nested, when only one chunk exists,
+/// when only one thread is configured, or when another thread's dispatch
+/// holds the worker team. Exceptions from chunks are rethrown on the calling
+/// thread after all chunks finish.
 void parallel_for(std::int64_t count, std::int64_t grain,
                   FnRef<void(std::int64_t, std::int64_t)> body);
 

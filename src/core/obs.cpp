@@ -51,7 +51,7 @@ struct Registry {
 
 Registry& registry() {
   // Function-local static: recorder threads are quiescent by static
-  // destruction time (the kernel pool joins its workers at exit), so plain
+  // destruction time (the kernel team joins its helpers at exit), so plain
   // destruction order is safe here.
   static Registry r;
   return r;

@@ -91,63 +91,4 @@ const Sample& FileDataset::sample(std::int64_t index) const {
   return samples_[static_cast<std::size_t>(index)];
 }
 
-PrefetchLoader::PrefetchLoader(std::function<Sample(std::int64_t)> fetch,
-                               std::vector<std::int64_t> indices,
-                               std::size_t queue_capacity)
-    : fetch_(std::move(fetch)),
-      indices_(std::move(indices)),
-      capacity_(queue_capacity) {
-  ORBIT2_REQUIRE(capacity_ >= 1, "queue capacity must be >= 1");
-  producer_ = std::thread([this] { producer_loop(); });
-}
-
-PrefetchLoader::~PrefetchLoader() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  not_full_.notify_all();
-  producer_.join();
-}
-
-bool PrefetchLoader::has_next() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return consumed_ < indices_.size();
-}
-
-Sample PrefetchLoader::next() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  ORBIT2_REQUIRE(consumed_ < indices_.size(), "loader exhausted");
-  not_empty_.wait(lock, [this] { return !queue_.empty(); });
-  Sample s = std::move(queue_.front());
-  queue_.pop_front();
-  ++consumed_;
-  not_full_.notify_one();
-  return s;
-}
-
-void PrefetchLoader::producer_loop() {
-  for (;;) {
-    std::int64_t index = 0;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      not_full_.wait(lock, [this] {
-        return stop_ || (queue_.size() < capacity_ && produced_ < indices_.size());
-      });
-      if (stop_ || produced_ >= indices_.size()) return;
-      index = indices_[produced_];
-      ++produced_;
-    }
-    // Generation happens outside the lock: this is the "CPU loads data
-    // asynchronously" overlap.
-    Sample s = fetch_(index);
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (stop_) return;
-      queue_.push_back(std::move(s));
-    }
-    not_empty_.notify_one();
-  }
-}
-
 }  // namespace orbit2::data

@@ -1,19 +1,11 @@
 #pragma once
-// Dataset persistence and asynchronous loading.
+// Dataset persistence.
 //
 // A minimal binary container ("O2DS") stores paired samples so trainings
-// can run from disk like the paper's pipelines, and a PrefetchLoader mirrors
-// the paper's "CPUs asynchronously load data" design (§III-C): a background
-// thread keeps a bounded queue of upcoming samples warm while the trainer
-// consumes them.
+// can run from disk like the paper's pipelines.
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -34,45 +26,6 @@ class FileDataset {
 
  private:
   std::vector<Sample> samples_;
-};
-
-/// Background prefetcher over an arbitrary index -> Sample function.
-/// One producer thread generates samples ahead of the consumer, up to
-/// `queue_capacity` outstanding; `next()` blocks until one is ready.
-class PrefetchLoader {
- public:
-  PrefetchLoader(std::function<Sample(std::int64_t)> fetch,
-                 std::vector<std::int64_t> indices,
-                 std::size_t queue_capacity = 4);
-  ~PrefetchLoader();
-
-  PrefetchLoader(const PrefetchLoader&) = delete;
-  PrefetchLoader& operator=(const PrefetchLoader&) = delete;
-
-  /// Number of samples this loader will yield in total.
-  std::int64_t size() const { return static_cast<std::int64_t>(indices_.size()); }
-
-  /// True while samples remain.
-  bool has_next() const;
-
-  /// Blocks for the next sample, in `indices` order.
-  Sample next();
-
- private:
-  void producer_loop();
-
-  std::function<Sample(std::int64_t)> fetch_;
-  std::vector<std::int64_t> indices_;
-  std::size_t capacity_;
-
-  mutable std::mutex mutex_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<Sample> queue_;
-  std::size_t consumed_ = 0;
-  std::size_t produced_ = 0;
-  bool stop_ = false;
-  std::thread producer_;
 };
 
 }  // namespace orbit2::data

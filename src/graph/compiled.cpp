@@ -1,26 +1,11 @@
 #include "graph/compiled.hpp"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
 #include "core/error.hpp"
 
 namespace orbit2::graph {
-
-namespace {
-
-/// Copies an executor's output into a caller buffer, reusing its storage
-/// when the shape already matches (zero-allocation steady state).
-void copy_result(const Tensor& result, Tensor& out) {
-  if (out.shape() == result.shape() && !out.shares_storage_with(result)) {
-    std::copy(result.data().begin(), result.data().end(), out.data().begin());
-  } else {
-    out = result.clone();
-  }
-}
-
-}  // namespace
 
 Tensor CompiledShape::run(const Tensor& input) const {
   ORBIT2_REQUIRE(valid(), "run() on an invalid (failed-capture) plan");
@@ -36,32 +21,15 @@ void CompiledShape::run_into(const Tensor& input, Tensor& out) const {
   ORBIT2_REQUIRE(valid(), "run_into() on an invalid (failed-capture) plan");
   std::unique_ptr<Executor> executor = pool_->try_acquire();
   if (executor == nullptr) executor = std::make_unique<Executor>(plan_);
-  copy_result(executor->run(input), out);
-  pool_->release(std::move(executor));
-}
-
-void CompiledShape::run_batch(const Tensor* const* inputs, Tensor** outputs,
-                              std::size_t count) const {
-  ORBIT2_REQUIRE(valid(), "run_batch() on an invalid (failed-capture) plan");
-  // Fixed-size executor window: keeps this frame heap-free (the serving
-  // layer's zero-allocation contract) while still bounding the arena
-  // footprint of very large batches.
-  constexpr std::size_t kWindow = 32;
-  std::array<std::unique_ptr<Executor>, kWindow> owned;
-  std::array<Executor*, kWindow> raw;
-  for (std::size_t base = 0; base < count; base += kWindow) {
-    const std::size_t n = std::min(kWindow, count - base);
-    for (std::size_t i = 0; i < n; ++i) {
-      owned[i] = pool_->try_acquire();
-      if (owned[i] == nullptr) owned[i] = std::make_unique<Executor>(plan_);
-      raw[i] = owned[i].get();
-    }
-    Executor::run_lockstep(raw.data(), inputs + base, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      copy_result(raw[i]->output(), *outputs[base + i]);
-      pool_->release(std::move(owned[i]));
-    }
+  const Tensor& result = executor->run(input);
+  // Reuse the caller's storage when the shape already matches
+  // (zero-allocation steady state).
+  if (out.shape() == result.shape() && !out.shares_storage_with(result)) {
+    std::copy(result.data().begin(), result.data().end(), out.data().begin());
+  } else {
+    out = result.clone();
   }
+  pool_->release(std::move(executor));
 }
 
 void CompiledShape::warm(std::size_t count) const {

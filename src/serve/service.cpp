@@ -64,7 +64,7 @@ void Service::drain_queue_locked() {
   while (queue_.try_pop(incoming)) batcher_.stage(incoming);
 }
 
-void Service::dispatch(std::vector<Request*>& batch, BatchScratch& scratch) {
+void Service::dispatch(std::vector<Request*>& batch) {
   // Deadline shedding happens at batch assembly: expired requests leave the
   // batch with an explicit kShed instead of consuming compute.
   const std::int64_t now = clock_->now_ns();
@@ -98,36 +98,23 @@ void Service::dispatch(std::vector<Request*>& batch, BatchScratch& scratch) {
   const std::int64_t n = static_cast<std::int64_t>(batch.size());
   {
     ORBIT2_OBS_SPAN_ARG("serve/batch", "serve", "batch_size", n);
-    if (use_plan && kernels::max_threads() <= 1) {
-      // Single kernel thread: op-major lockstep replay. Each op's weights
-      // are fetched once per batch instead of once per sample — the
-      // batching win when there is no parallelism to spend.
-      scratch.inputs.clear();
-      scratch.outputs.clear();
-      for (Request* request : batch) {
-        scratch.inputs.push_back(&request->input);
-        scratch.outputs.push_back(&request->output);
-      }
-      compiled->run_batch(scratch.inputs.data(), scratch.outputs.data(),
-                          batch.size());
-    } else {
-      // Sample-parallel replay: one batch item per chunk. Each replay's
-      // nested kernels run inline-serial (PR 3's region rule), so the bits
-      // match a sequential eager call exactly, at any kernel thread count.
-      kernels::parallel_for(
-          n, /*grain=*/1, [&](std::int64_t b, std::int64_t e) {
-            for (std::int64_t i = b; i < e; ++i) {
-              Request& request = *batch[static_cast<std::size_t>(i)];
-              if (use_plan) {
-                compiled->run_into(request.input, request.output);
-              } else {
-                // predict_field enters its own thread-local inference scope.
-                request.output = request.model->predict_field(request.input);
-                request.served_eager = true;
-              }
+    // Sample-parallel replay: one batch item per chunk. Each replay's
+    // nested kernels run inline-serial (the kernel layer's region rule), so
+    // the bits match a sequential eager call exactly, at any kernel thread
+    // count; at one thread the loop runs inline in batch order.
+    kernels::parallel_for(
+        n, /*grain=*/1, [&](std::int64_t b, std::int64_t e) {
+          for (std::int64_t i = b; i < e; ++i) {
+            Request& request = *batch[static_cast<std::size_t>(i)];
+            if (use_plan) {
+              compiled->run_into(request.input, request.output);
+            } else {
+              // predict_field enters its own thread-local inference scope.
+              request.output = request.model->predict_field(request.input);
+              request.served_eager = true;
             }
-          });
-    }
+          }
+        });
   }
 
   batches_.fetch_add(1, std::memory_order_relaxed);
@@ -145,7 +132,6 @@ void Service::dispatch(std::vector<Request*>& batch, BatchScratch& scratch) {
 
 void Service::worker_loop() {
   std::vector<Request*> batch;
-  BatchScratch scratch;
   for (;;) {
     std::int64_t wait_until = Batcher::kNever;
     {
@@ -176,7 +162,7 @@ void Service::worker_loop() {
       }
     }
     if (!batch.empty()) {
-      dispatch(batch, scratch);
+      dispatch(batch);
       continue;
     }
     if (wait_until == Batcher::kNever) {
@@ -207,7 +193,7 @@ std::size_t Service::pump(bool force) {
       drain_queue_locked();
       if (batcher_.collect(clock_->now_ns(), force, pump_batch_) == 0) break;
     }
-    dispatch(pump_batch_, pump_scratch_);
+    dispatch(pump_batch_);
     if (!pump_batch_.empty()) ++dispatched;
   }
   return dispatched;

@@ -123,20 +123,12 @@ class Service {
   const ServiceConfig& config() const { return config_; }
 
  private:
-  /// Grow-only per-dispatcher staging for batched replay pointers, so the
-  /// steady-state dispatch path never touches the heap.
-  struct BatchScratch {
-    std::vector<const Tensor*> inputs;
-    std::vector<Tensor*> outputs;
-  };
-
   void worker_loop();
   /// Stages every queued arrival into the batcher. Caller holds mutex_.
   void drain_queue_locked();
   /// Sheds expired requests, then runs the survivors as one batched
-  /// compiled replay (or eager fallback). Called with mutex_ released;
-  /// `scratch` belongs to the calling dispatcher (worker or pump).
-  void dispatch(std::vector<Request*>& batch, BatchScratch& scratch);
+  /// compiled replay (or eager fallback). Called with mutex_ released.
+  void dispatch(std::vector<Request*>& batch);
   std::size_t pump(bool force);
 
   ServiceConfig config_;
@@ -150,7 +142,6 @@ class Service {
   // Manual-mode batch scratch (pump is single-threaded); grow-only so the
   // steady-state poll()/flush() path never touches the heap.
   std::vector<Request*> pump_batch_;
-  BatchScratch pump_scratch_;
 
   std::vector<std::thread> workers_;
   std::atomic<bool> stopped_{false};

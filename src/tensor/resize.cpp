@@ -74,7 +74,7 @@ void resize_bilinear_into(const Tensor& input, Tensor& out) {
   float* po = out.data().data();
   // Capture the *calling thread's* tap tables by pointer: naming a
   // thread_local inside the lambda would resolve to the (empty) instance of
-  // whichever pool worker runs the chunk.
+  // whichever team thread runs the chunk.
   const Tap* ytap = ytaps.data();
   const Tap* xtap = xtaps.data();
   kernels::parallel_for(

@@ -3,8 +3,8 @@
 //
 // Downscaling is spatially local (the remote-sensing "point spread" effect),
 // so TILES partitions each input/output into spatial tiles, runs the model
-// independently per tile on a separate GPU — here, a pool worker acting as a
-// virtual GPU — with self-attention restricted to the tile, then discards
+// independently per tile on a separate GPU — here, a kernel team thread
+// acting as a virtual GPU — with self-attention restricted to the tile, then discards
 // the halo padding and stitches the cores back together. Restricting
 // attention to fixed-size tiles turns the O(N^2) global cost into
 // O(N^2 / T), i.e. linear in N for fixed tile size.
@@ -62,8 +62,8 @@ Tensor stitch_tiles(const std::vector<Tensor>& outputs,
                     const std::vector<TileRegion>& regions, std::int64_t h,
                     std::int64_t w, std::int64_t upscale);
 
-/// Runs `process(tile_index, padded_tile)` for every tile on the shared
-/// kernel-layer pool (one task per tile — each worker is a virtual GPU),
+/// Runs `process(tile_index, padded_tile)` for every tile on the kernel
+/// worker team (one chunk per tile — each team thread is a virtual GPU),
 /// then stitches.
 Tensor tiled_apply(
     const Tensor& image, const TileSpec& spec, std::int64_t upscale,

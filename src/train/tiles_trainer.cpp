@@ -155,7 +155,7 @@ EpochStats TilesTrainer::run_samples(const data::SyntheticDataset& dataset,
     const auto regions = partition_tiles(h, w, tile_spec_);
 
     // HR target tiles correspond to the padded input regions x upscale.
-    // One task per tile (grain 1) on the shared kernel-layer pool; per-tile
+    // One chunk per tile (grain 1) on the kernel worker team; per-tile
     // losses land in fixed slots and are reduced in tile order after the
     // join, so the reported loss is bit-deterministic across runs (a
     // completion-order atomic sum would not be).
@@ -173,7 +173,7 @@ EpochStats TilesTrainer::run_samples(const data::SyntheticDataset& dataset,
             hr_region.pad_w = regions[t].pad_w * upscale;
             const Tensor tile_target = extract_tile(sample.target, hr_region);
 
-            // Forward/backward spans land on whichever pool thread ran the
+            // Forward/backward spans land on whichever team thread ran the
             // tile; tests assert counts and tile args, not cross-thread
             // order.
             Var loss;

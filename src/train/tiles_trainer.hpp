@@ -1,8 +1,8 @@
 #pragma once
 // TILES-mode training and inference (paper §III-B).
 //
-// Each tile is owned by a model replica on its own virtual GPU (pool
-// worker). Per sample, every replica downscales its halo-padded tile and
+// Each tile is owned by a model replica on its own virtual GPU (kernel
+// team thread). Per sample, every replica downscales its halo-padded tile and
 // computes the loss on the corresponding target tile; gradients are
 // all-reduced (averaged) once per batch — the paper's single low-frequency
 // collective — and every replica applies the identical optimizer step, so

@@ -1,9 +1,8 @@
 // Unit tests for the core substrate: error macros, RNG determinism and
-// statistics, bf16 rounding, thread pool semantics, Shape arithmetic.
+// statistics, bf16 rounding, Shape arithmetic.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "core/error.hpp"
 #include "core/rng.hpp"
 #include "core/shape.hpp"
-#include "core/thread_pool.hpp"
 
 namespace orbit2 {
 namespace {
@@ -142,57 +140,6 @@ TEST(Bf16, RoundToNearestEven) {
   // RNE goes to the even mantissa (1.0).
   const float halfway = 1.0f + 1.0f / 256.0f;
   EXPECT_EQ(bf16_round(halfway), 1.0f);
-}
-
-// ---- thread pool --------------------------------------------------------
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&counter] { ++counter; });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(257, [&hits](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForZeroCountIsNoop) {
-  ThreadPool pool(2);
-  EXPECT_NO_THROW(pool.parallel_for(0, [](std::size_t) { FAIL(); }));
-}
-
-TEST(ThreadPool, TaskExceptionRethrownOnWait) {
-  ThreadPool pool(2);
-  pool.submit([] { throw Error("boom", "here", 1); });
-  EXPECT_THROW(pool.wait_idle(), Error);
-  // Pool is reusable afterwards.
-  std::atomic<int> counter{0};
-  pool.submit([&counter] { ++counter; });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPool, ChunksPartitionRange) {
-  ThreadPool pool(4);
-  std::mutex m;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  pool.parallel_for_chunks(10, [&](std::size_t b, std::size_t e) {
-    std::lock_guard<std::mutex> lock(m);
-    chunks.emplace_back(b, e);
-  });
-  std::sort(chunks.begin(), chunks.end());
-  std::size_t expected_begin = 0;
-  for (auto [b, e] : chunks) {
-    EXPECT_EQ(b, expected_begin);
-    EXPECT_GT(e, b);
-    expected_begin = e;
-  }
-  EXPECT_EQ(expected_begin, 10u);
 }
 
 // ---- shape ----------------------------------------------------------------

@@ -276,39 +276,5 @@ TEST(DataIo, SaveLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(Prefetch, YieldsAllSamplesInOrder) {
-  DatasetConfig config;
-  config.hr_h = 16;
-  config.hr_w = 32;
-  SyntheticDataset dataset(config);
-  std::vector<std::int64_t> indices = {4, 2, 0};
-  PrefetchLoader loader(
-      [&dataset](std::int64_t i) { return dataset.sample(i); }, indices, 2);
-  EXPECT_EQ(loader.size(), 3);
-  for (std::int64_t index : indices) {
-    ASSERT_TRUE(loader.has_next());
-    const Sample got = loader.next();
-    const Sample expected = dataset.sample(index);
-    EXPECT_EQ(got.input[0], expected.input[0]);
-    EXPECT_EQ(got.target[7], expected.target[7]);
-  }
-  EXPECT_FALSE(loader.has_next());
-}
-
-TEST(Prefetch, DestructorStopsCleanlyMidStream) {
-  DatasetConfig config;
-  config.hr_h = 16;
-  config.hr_w = 32;
-  SyntheticDataset dataset(config);
-  std::vector<std::int64_t> indices(20);
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = static_cast<std::int64_t>(i);
-  {
-    PrefetchLoader loader(
-        [&dataset](std::int64_t i) { return dataset.sample(i); }, indices, 3);
-    loader.next();  // consume one, then abandon
-  }
-  SUCCEED();
-}
-
 }  // namespace
 }  // namespace orbit2::data

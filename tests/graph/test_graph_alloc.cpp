@@ -1,7 +1,7 @@
-// Zero-allocation replay contract: with single-threaded kernels and tracing
+// Zero-allocation replay contract: at 1 and 4 kernel threads with tracing
 // disabled, a warmed-up Executor::run performs ZERO heap allocations — the
-// arena owns every temporary and the kernels' scratch is thread-local and
-// grow-only. Lives in its own binary because ORBIT2_INSTALL_ALLOC_COUNTER
+// arena owns every temporary, the kernels' scratch is thread-local and
+// grow-only, and kernel dispatch itself never touches the heap. Lives in its own binary because ORBIT2_INSTALL_ALLOC_COUNTER
 // replaces the global allocator for the whole process.
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "graph/plan.hpp"
 #include "model/reslim.hpp"
 #include "model/vit_baseline.hpp"
+#include "support/alloc_steady_state.hpp"
 
 ORBIT2_INSTALL_ALLOC_COUNTER();
 
@@ -51,21 +52,21 @@ void expect_zero_alloc_replay(const Model& m, const Tensor& input) {
   if (!debug::alloc_counting_installed()) {
     GTEST_SKIP() << "alloc counter not installed";
   }
-  kernels::set_max_threads(1);
-  Executor executor(compile(m, input));
-  // Warm up twice: the first run grows the kernels' thread-local scratch
-  // (gemm pack buffers, flash rows, resize taps) to this plan's high-water
-  // mark; afterwards the replay path must touch the heap zero times.
-  executor.run(input);
-  executor.run(input);
-  std::int64_t delta = -1;
-  {
-    debug::AllocCountScope scope;
-    executor.run(input);
-    delta = scope.delta();
+  const std::shared_ptr<const Plan> plan = compile(m, input);
+  Executor executor(plan);
+  for (std::size_t threads : {1, 4}) {
+    kernels::set_max_threads(threads);
+    // The warm-up grows the kernels' thread-local scratch (gemm pack
+    // buffers, flash rows, resize taps) on every kernel thread to this
+    // plan's high-water mark; afterwards replay must touch the heap zero
+    // times.
+    test::warm_every_kernel_thread([&] { Executor(plan).run(input); });
+    const std::int64_t delta =
+        test::steady_state_allocs([&] { executor.run(input); });
+    EXPECT_EQ(delta, 0) << "steady-state replay allocated at " << threads
+                        << " kernel threads";
   }
   kernels::set_max_threads(0);
-  EXPECT_EQ(delta, 0) << "steady-state replay allocated";
 }
 
 TEST(GraphAlloc, ReslimReplayIsAllocationFree) {

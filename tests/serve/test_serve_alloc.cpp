@@ -1,4 +1,4 @@
-// Zero-allocation serving contract: with single-threaded kernels, tracing
+// Zero-allocation serving contract: at 1 and 4 kernel threads, tracing
 // disabled, a warmed plan (pooled executor + compiled plan cached), a
 // pre-sized response buffer, and a warmed service (grow-only staging
 // scratch), one submit -> poll -> complete cycle performs ZERO heap
@@ -13,9 +13,11 @@
 
 #include "core/debug_check.hpp"
 #include "core/kernels.hpp"
+#include "graph/compiled.hpp"
 #include "model/reslim.hpp"
 #include "serve/clock.hpp"
 #include "serve/service.hpp"
+#include "support/alloc_steady_state.hpp"
 
 ORBIT2_INSTALL_ALLOC_COUNTER();
 
@@ -42,7 +44,6 @@ TEST(ServeAlloc, SteadyStateRequestIsAllocationFree) {
   Rng rng(1);
   model::ReslimModel model(config, rng);
 
-  kernels::set_max_threads(1);
   ServiceConfig sc;
   sc.manual = true;
   sc.max_batch = 1;
@@ -53,27 +54,30 @@ TEST(ServeAlloc, SteadyStateRequestIsAllocationFree) {
   request.model = &model;
   request.input = make_input(3, 12, 20);
   ASSERT_TRUE(service.warm(model, request.input, 1));
+  const std::shared_ptr<const graph::CompiledShape> compiled =
+      model.compiled_for(request.input);
 
-  // Two warm-up cycles: the first compiles nothing new (warm() did) but
-  // sizes request.output, grows the service's staging scratch, and grows
-  // the kernels' thread-local scratch to this plan's high-water mark.
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(service.submit(&request));
-    ASSERT_EQ(service.poll(), 1u);
-    ASSERT_EQ(request.status(), RequestStatus::kOk);
-    request.rearm();
-  }
-
-  std::int64_t delta = -1;
-  {
-    debug::AllocCountScope scope;
-    service.submit(&request);
-    service.poll();
-    delta = scope.delta();
+  for (std::size_t threads : {1, 4}) {
+    kernels::set_max_threads(threads);
+    // The warm-up compiles nothing new (warm() did) but sizes
+    // request.output, grows the service's staging scratch, and grows the
+    // kernels' thread-local scratch on every kernel thread to this plan's
+    // high-water mark.
+    test::warm_every_kernel_thread([&] { (void)compiled->run(request.input); });
+    std::int64_t cycles = 0;
+    std::int64_t completed = 0;
+    const std::int64_t delta = test::steady_state_allocs([&] {
+      service.submit(&request);
+      service.poll();
+      ++cycles;
+      completed += request.status() == RequestStatus::kOk ? 1 : 0;
+      request.rearm();
+    });
+    EXPECT_EQ(completed, cycles) << "at " << threads << " kernel threads";
+    EXPECT_EQ(delta, 0) << "steady-state serve cycle allocated at "
+                        << threads << " kernel threads";
   }
   kernels::set_max_threads(0);
-  EXPECT_EQ(request.status(), RequestStatus::kOk);
-  EXPECT_EQ(delta, 0) << "steady-state serve cycle allocated";
 }
 
 TEST(ServeAlloc, RejectionPathIsAllocationFree) {
