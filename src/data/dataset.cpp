@@ -106,65 +106,112 @@ Sample SyntheticDataset::build(std::int64_t index, bool normalized) const {
                      (0xd1b54a32d192ed03ull * static_cast<std::uint64_t>(index + 1));
   Rng weather(splitmix64(sm));
 
-  // Generate every HR input field; output variables are generated from the
-  // same weather stream so inputs and targets are physically consistent
-  // (e.g. the precip input channel correlates with the prcp target).
+  // Every HR input field is generated; output variables draw from the same
+  // weather stream so inputs and targets are physically consistent (e.g.
+  // the precip input channel correlates with the prcp target).
   const auto& in_vars = config_.input_variables;
   const auto& out_vars = config_.output_variables;
+  const auto n_in = static_cast<std::int64_t>(in_vars.size());
+  const auto n_out = static_cast<std::int64_t>(out_vars.size());
 
-  Tensor hr_inputs(Shape{static_cast<std::int64_t>(in_vars.size()), h, w});
-  for (std::size_t v = 0; v < in_vars.size(); ++v) {
-    Rng field_rng = weather.split();
-    const Tensor field = generate_variable_field(in_vars[v], h, w, topo, field_rng);
-    std::copy(field.data().begin(), field.data().end(),
-              hr_inputs.data().begin() + static_cast<std::int64_t>(v) * h * w);
+  // Where an output variable has an input analogue (same name family), the
+  // target reuses the input channel so downscaling is a well-posed inverse
+  // task; otherwise a correlated fresh field is generated. Analogue lookup
+  // tolerates trimmed catalogues (tests/examples use reduced variable
+  // lists): absent analogues fall back to fresh fields.
+  auto maybe_index = [&](const char* name) -> std::int64_t {
+    for (std::size_t i = 0; i < in_vars.size(); ++i) {
+      if (in_vars[i].name == name) return static_cast<std::int64_t>(i);
+    }
+    return -1;
+  };
+  const std::int64_t precip_src = maybe_index("total_precipitation");
+  const std::int64_t t2m_src = maybe_index("t2m");
+
+  // One job per generated field. Every field's stream is split from
+  // `weather` here, serially and in catalogue order, so each field is a
+  // pure function of its own Rng and the read-only terrain.
+  struct FieldJob {
+    const VariableSpec* spec;  // null: a bare GRF (the diurnal range)
+    float beta;
+    Rng rng;
+    Tensor field;
+  };
+  struct TargetPlan {
+    std::int64_t analogue = -1;  // input channel the target starts from
+    float diurnal_sign = 0.0f;   // tmin -1, tmax +1, else 0
+    std::int64_t job = -1;       // fresh field or diurnal range
+    Rng obs_rng;                 // used only with observation_targets
+  };
+  std::vector<FieldJob> jobs;
+  jobs.reserve(in_vars.size() + out_vars.size());
+  for (const VariableSpec& spec : in_vars) {
+    jobs.push_back({&spec, spec.spectral_slope, weather.split(), Tensor()});
+  }
+  std::vector<TargetPlan> targets(out_vars.size());
+  for (std::size_t v = 0; v < out_vars.size(); ++v) {
+    const VariableSpec& spec = out_vars[v];
+    TargetPlan& plan = targets[v];
+    if (spec.name == "prcp" && precip_src >= 0) {
+      plan.analogue = precip_src;
+    } else if ((spec.name == "tmin" || spec.name == "tmax") && t2m_src >= 0) {
+      // tmin/tmax offset from t2m with a smooth diurnal-range field.
+      plan.analogue = t2m_src;
+      plan.diurnal_sign = spec.name == "tmin" ? -1.0f : 1.0f;
+      plan.job = static_cast<std::int64_t>(jobs.size());
+      jobs.push_back({nullptr, 3.5f, weather.split(), Tensor()});
+    } else {
+      plan.job = static_cast<std::int64_t>(jobs.size());
+      jobs.push_back({&spec, spec.spectral_slope, weather.split(), Tensor()});
+    }
+    if (config_.observation_targets) plan.obs_rng = weather.split();
   }
 
-  Tensor target(Shape{static_cast<std::int64_t>(out_vars.size()), h, w});
-  for (std::size_t v = 0; v < out_vars.size(); ++v) {
-    // Where an output variable has an input analogue (same name family),
-    // reuse the input channel so downscaling is a well-posed inverse task;
-    // otherwise generate a correlated fresh field.
-    // Analogue lookup tolerates trimmed catalogues (tests/examples use
-    // reduced variable lists): absent analogues fall back to fresh fields.
-    auto maybe_index = [&](const char* name) -> std::int64_t {
-      for (std::size_t i = 0; i < in_vars.size(); ++i) {
-        if (in_vars[i].name == name) return static_cast<std::int64_t>(i);
-      }
-      return -1;
-    };
-    const std::int64_t precip_src = maybe_index("total_precipitation");
-    const std::int64_t t2m_src = maybe_index("t2m");
+  // The fields are independent, so one team dispatch runs one field per
+  // chunk; the FFT and elementwise dispatches inside each field are nested
+  // and run inline, with the same chunk boundaries and therefore the same
+  // bits as a serial build.
+  kernels::parallel_for(
+      static_cast<std::int64_t>(jobs.size()), 1,
+      [&](std::int64_t j0, std::int64_t j1) {
+        for (std::int64_t j = j0; j < j1; ++j) {
+          FieldJob& job = jobs[static_cast<std::size_t>(j)];
+          Tensor anomaly = gaussian_random_field(h, w, job.beta, job.rng);
+          job.field = job.spec ? physical_from_anomaly(*job.spec, anomaly, topo)
+                               : std::move(anomaly);
+        }
+      });
 
-    Tensor field;
-    // Aliasing note: Tensor::slice copies the selected channel into fresh
-    // storage (it is not a view), so both analogue paths below already own
-    // their data and may be mutated freely without touching hr_inputs. The
-    // reshape is a view of that private copy; no clone is needed.
-    if (out_vars[v].name == "prcp" && precip_src >= 0) {
-      field = hr_inputs.slice(0, precip_src, 1).reshape(Shape{h, w});
-    } else if ((out_vars[v].name == "tmin" || out_vars[v].name == "tmax") &&
-               t2m_src >= 0) {
-      field = hr_inputs.slice(0, t2m_src, 1).reshape(Shape{h, w});
-      // tmin/tmax offset from t2m with a smooth diurnal-range field.
-      Rng range_rng = weather.split();
-      const Tensor diurnal = gaussian_random_field(h, w, 3.5f, range_rng);
-      const float sign = out_vars[v].name == "tmin" ? -1.0f : 1.0f;
+  const std::int64_t plane = h * w;
+  Tensor hr_inputs(Shape{n_in, h, w});
+  float* in_dst = hr_inputs.data().data();
+  for (std::int64_t v = 0; v < n_in; ++v) {
+    const Tensor& field = jobs[static_cast<std::size_t>(v)].field;
+    std::copy(field.data().begin(), field.data().end(), in_dst + v * plane);
+  }
+
+  Tensor target(Shape{n_out, h, w});
+  for (std::int64_t v = 0; v < n_out; ++v) {
+    TargetPlan& plan = targets[static_cast<std::size_t>(v)];
+    // Tensor::slice copies the analogue channel into fresh storage (it is
+    // not a view) and the reshape is a view of that private copy, so the
+    // offset below never writes through to hr_inputs.
+    Tensor field =
+        plan.analogue >= 0
+            ? hr_inputs.slice(0, plan.analogue, 1).reshape(Shape{h, w})
+            : std::move(jobs[static_cast<std::size_t>(plan.job)].field);
+    if (plan.diurnal_sign != 0.0f) {
       float* p = field.data().data();
-      const float* d = diurnal.data().data();
-      for (std::int64_t i = 0; i < h * w; ++i) {
-        p[i] += sign * (4.0f + 1.5f * d[i]);
+      const float* d = jobs[static_cast<std::size_t>(plan.job)].field.data().data();
+      for (std::int64_t i = 0; i < plane; ++i) {
+        p[i] += plan.diurnal_sign * (4.0f + 1.5f * d[i]);
       }
-    } else {
-      Rng field_rng = weather.split();
-      field = generate_variable_field(out_vars[v], h, w, topo, field_rng);
     }
     if (config_.observation_targets) {
-      Rng obs_rng = weather.split();
-      field = perturb_as_observation(field, obs_rng);
+      field = perturb_as_observation(field, plan.obs_rng);
     }
     std::copy(field.data().begin(), field.data().end(),
-              target.data().begin() + static_cast<std::int64_t>(v) * h * w);
+              target.data().begin() + v * plane);
   }
 
   Sample out;

@@ -66,7 +66,10 @@ class SyntheticDataset {
   explicit SyntheticDataset(DatasetConfig config);
 
   /// Generates sample `index` (deterministic, thread-safe: no shared
-  /// mutable state). Fields are normalized per variable.
+  /// mutable state). Fields are normalized per variable. The sample's
+  /// fields are synthesized concurrently on the kernel worker team, one
+  /// field per chunk (serially when called from inside a team chunk); the
+  /// bits do not depend on the thread count.
   Sample sample(std::int64_t index) const;
 
   /// Same sample in physical units (no normalization); used by metrics.

@@ -63,11 +63,11 @@ std::shared_ptr<const Radix2Plan> radix2_plan(std::size_t n, bool inverse) {
   return cache.get_or_create(key, [&] { return build_radix2_plan(n, inverse); });
 }
 
-// Iterative radix-2 Cooley-Tukey; requires power-of-two length.
-void fft_radix2(std::vector<Complex>& a, bool inverse) {
-  const std::size_t n = a.size();
-  const std::shared_ptr<const Radix2Plan> plan = radix2_plan(n, inverse);
-  const std::uint32_t* rev = plan->bitrev.data();
+// Iterative radix-2 Cooley-Tukey over a[0, n) with n = plan length (a power
+// of two).
+void fft_radix2(Complex* a, const Radix2Plan& plan) {
+  const std::size_t n = plan.bitrev.size();
+  const std::uint32_t* rev = plan.bitrev.data();
   for (std::size_t i = 1; i < n; ++i) {
     const std::size_t j = rev[i];
     if (i < j) std::swap(a[i], a[j]);
@@ -79,14 +79,14 @@ void fft_radix2(std::vector<Complex>& a, bool inverse) {
   // takes. Bit-identical to the std::complex arithmetic it replaces for
   // finite values (see the contract in core/simd/simd.hpp).
   const simd::Ops& sops = simd::ops();
-  const Complex* tw = plan->twiddles.data();
+  const Complex* tw = plan.twiddles.data();
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const Complex* stage = tw + (len / 2 - 1);
     const double* w = reinterpret_cast<const double*>(stage);
     const std::int64_t half = static_cast<std::int64_t>(len / 2);
     for (std::size_t i = 0; i < n; i += len) {
-      sops.fft_butterfly_f64(reinterpret_cast<double*>(a.data() + i),
-                             reinterpret_cast<double*>(a.data() + i + len / 2),
+      sops.fft_butterfly_f64(reinterpret_cast<double*>(a + i),
+                             reinterpret_cast<double*>(a + i + len / 2),
                              w, half);
     }
   }
@@ -125,7 +125,7 @@ BluesteinPlan build_bluestein_plan(std::size_t n, bool inverse) {
     plan.kernel_fft[k] = std::conj(plan.chirp[k]);
     plan.kernel_fft[plan.m - k] = std::conj(plan.chirp[k]);
   }
-  fft_radix2(plan.kernel_fft, false);
+  fft_radix2(plan.kernel_fft.data(), *radix2_plan(plan.m, false));
   return plan;
 }
 
@@ -143,53 +143,100 @@ std::shared_ptr<const BluesteinPlan> bluestein_plan(std::size_t n,
                              [&] { return build_bluestein_plan(n, inverse); });
 }
 
-// Bluestein's chirp-z transform: expresses an arbitrary-length DFT as a
-// convolution, evaluated with power-of-two FFTs.
-void fft_bluestein(std::vector<Complex>& a, bool inverse) {
-  const std::size_t n = a.size();
-  const std::shared_ptr<const BluesteinPlan> plan = bluestein_plan(n, inverse);
-  const std::size_t m = plan->m;
-  const Complex* chirp = plan->chirp.data();
+// Every plan one line transform of length n needs, resolved from the caches
+// once so a pass over many lines takes the cache locks once per axis. A
+// radix-2 length holds its own plan in `radix2`; a Bluestein length holds
+// its chirp plan plus the forward (`radix2`) and inverse plans of the
+// padded length m.
+struct LinePlan {
+  std::size_t n = 0;
+  bool inverse = false;
+  std::shared_ptr<const Radix2Plan> radix2;
+  std::shared_ptr<const BluesteinPlan> bluestein;
+  std::shared_ptr<const Radix2Plan> radix2_inverse;
 
-  std::vector<Complex> x(m, Complex(0, 0));
+  // Bluestein's padded work buffer; empty for radix-2 lengths.
+  std::size_t scratch_size() const { return bluestein ? bluestein->m : 0; }
+};
+
+LinePlan resolve_line_plan(std::size_t n, bool inverse) {
+  LinePlan plan;
+  plan.n = n;
+  plan.inverse = inverse;
+  if (n <= 1) return plan;
+  if (is_power_of_two(n)) {
+    plan.radix2 = radix2_plan(n, inverse);
+  } else {
+    plan.bluestein = bluestein_plan(n, inverse);
+    plan.radix2 = radix2_plan(plan.bluestein->m, false);
+    plan.radix2_inverse = radix2_plan(plan.bluestein->m, true);
+  }
+  return plan;
+}
+
+// Bluestein's chirp-z transform: expresses an arbitrary-length DFT as a
+// convolution, evaluated with power-of-two FFTs in x[0, m).
+void fft_bluestein(Complex* a, const LinePlan& plan, Complex* x) {
+  const std::size_t n = plan.n;
+  const std::size_t m = plan.bluestein->m;
+  const Complex* chirp = plan.bluestein->chirp.data();
+
   for (std::size_t k = 0; k < n; ++k) x[k] = a[k] * chirp[k];
-  fft_radix2(x, false);
-  const Complex* kernel = plan->kernel_fft.data();
-  simd::ops().cmul_f64(reinterpret_cast<double*>(x.data()),
+  std::fill(x + n, x + m, Complex(0, 0));
+  fft_radix2(x, *plan.radix2);
+  const Complex* kernel = plan.bluestein->kernel_fft.data();
+  simd::ops().cmul_f64(reinterpret_cast<double*>(x),
                        reinterpret_cast<const double*>(kernel),
                        static_cast<std::int64_t>(m));
-  fft_radix2(x, true);
+  fft_radix2(x, *plan.radix2_inverse);
   const double inv_m = 1.0 / static_cast<double>(m);
   for (std::size_t k = 0; k < n; ++k) a[k] = x[k] * inv_m * chirp[k];
 }
 
+// One line of length plan.n in place; `scratch` holds plan.scratch_size()
+// elements. The inverse applies the 1/n normalization.
+void transform_line(Complex* a, const LinePlan& plan, Complex* scratch) {
+  const std::size_t n = plan.n;
+  if (n <= 1) return;
+  if (plan.bluestein) {
+    fft_bluestein(a, plan, scratch);
+  } else {
+    fft_radix2(a, *plan.radix2);
+  }
+  if (plan.inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (std::size_t i = 0; i < n; ++i) a[i] *= inv_n;
+  }
+}
+
 // Row then column 1-D transforms over an H x W row-major coefficient grid.
-// One line per work item with chunk-local scratch: every line's arithmetic
-// is identical to the serial loop, and lines write disjoint ranges, so the
+// Each axis's plans are resolved once per pass; one line per work item with
+// chunk-local line and Bluestein scratch. Every line's arithmetic is
+// identical to the serial loop, and lines write disjoint ranges, so the
 // result is bit-identical for any thread count.
 void transform_2d(std::vector<Complex>& coeffs, std::int64_t h, std::int64_t w,
                   bool inverse) {
+  const LinePlan row_plan = resolve_line_plan(static_cast<std::size_t>(w), inverse);
   // A line of length n costs ~n log n; target a few lines per chunk on
   // typical grids without making chunks tiny.
   const std::int64_t row_grain = kernels::grain_for(w, 1 << 12);
   kernels::parallel_for(h, row_grain, [&](std::int64_t y0, std::int64_t y1) {
-    std::vector<Complex> row(static_cast<std::size_t>(w));
+    std::vector<Complex> scratch(row_plan.scratch_size());
     for (std::int64_t y = y0; y < y1; ++y) {
-      std::copy(coeffs.begin() + y * w, coeffs.begin() + (y + 1) * w,
-                row.begin());
-      fft(row, inverse);
-      std::copy(row.begin(), row.end(), coeffs.begin() + y * w);
+      transform_line(coeffs.data() + y * w, row_plan, scratch.data());
     }
   });
+  const LinePlan col_plan = resolve_line_plan(static_cast<std::size_t>(h), inverse);
   const std::int64_t col_grain = kernels::grain_for(h, 1 << 12);
   kernels::parallel_for(w, col_grain, [&](std::int64_t x0, std::int64_t x1) {
     std::vector<Complex> col(static_cast<std::size_t>(h));
+    std::vector<Complex> scratch(col_plan.scratch_size());
     for (std::int64_t x = x0; x < x1; ++x) {
       for (std::int64_t y = 0; y < h; ++y) {
         col[static_cast<std::size_t>(y)] =
             coeffs[static_cast<std::size_t>(y * w + x)];
       }
-      fft(col, inverse);
+      transform_line(col.data(), col_plan, scratch.data());
       for (std::int64_t y = 0; y < h; ++y) {
         coeffs[static_cast<std::size_t>(y * w + x)] =
             col[static_cast<std::size_t>(y)];
@@ -201,17 +248,9 @@ void transform_2d(std::vector<Complex>& coeffs, std::int64_t h, std::int64_t w,
 }  // namespace
 
 void fft(std::vector<Complex>& data, bool inverse) {
-  const std::size_t n = data.size();
-  if (n <= 1) return;
-  if (is_power_of_two(n)) {
-    fft_radix2(data, inverse);
-  } else {
-    fft_bluestein(data, inverse);
-  }
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (Complex& c : data) c *= inv_n;
-  }
+  const LinePlan plan = resolve_line_plan(data.size(), inverse);
+  std::vector<Complex> scratch(plan.scratch_size());
+  transform_line(data.data(), plan, scratch.data());
 }
 
 std::vector<Complex> fft_copy(const std::vector<Complex>& data, bool inverse) {

@@ -10,8 +10,10 @@
 #include <atomic>
 #include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "core/cache.hpp"
 #include "core/crc32.hpp"
 #include "core/kernels.hpp"
@@ -35,6 +37,19 @@ DatasetConfig small_config(bool fixed_region) {
   config.upscale = 4;
   config.seed = 1234;
   config.fixed_region = fixed_region;
+  return config;
+}
+
+// A catalogue in which no output has an input analogue (no t2m, no
+// total_precipitation among the inputs), so every target channel takes the
+// fresh-field split, followed by the observation split.
+DatasetConfig fresh_output_config(bool fixed_region) {
+  DatasetConfig config = small_config(fixed_region);
+  const auto& full = era5_input_variables();
+  config.input_variables.assign(full.begin(), full.begin() + 5);
+  config.input_variables.push_back(full[variable_index(full, "u10")]);
+  config.input_variables.push_back(full[variable_index(full, "msl_pressure")]);
+  config.observation_targets = true;
   return config;
 }
 
@@ -68,28 +83,68 @@ TEST(PipelineGolden, NonPowerOfTwoGridMatchesPreCacheBits) {
   EXPECT_EQ(sample_crc(dataset.sample(2)), 0xd283061cu);
 }
 
+// Pinned from the serial per-field build: every output takes the fresh-field
+// split, then the observation split, so this fixes the split order the
+// analogue paths above never reach.
+TEST(PipelineGolden, FreshOutputsWithObservationTargetsMatchSerialBits) {
+  SyntheticDataset fixed(fresh_output_config(/*fixed_region=*/true));
+  EXPECT_EQ(sample_crc(fixed.sample(0)), 0x54edf92fu);
+  EXPECT_EQ(sample_crc(fixed.sample(2)), 0xfb6119a6u);
+  SyntheticDataset fresh(fresh_output_config(/*fixed_region=*/false));
+  EXPECT_EQ(sample_crc(fresh.sample(0)), 0x8ba890bcu);
+  EXPECT_EQ(sample_crc(fresh.sample(2)), 0x0c7d89a7u);
+}
+
 // Same (seed, index) must produce the same bits no matter how many kernel
-// threads the dispatch layer uses.
+// threads the dispatch layer uses, for the default catalogue and for the
+// benchmark's (8 inputs; tmin + prcp outputs).
 TEST(PipelineDeterminism, SampleBitsInvariantToThreadCount) {
-  for (const bool fixed : {false, true}) {
+  const std::vector<std::pair<const char*, DatasetConfig>> configs = {
+      {"fresh terrain", small_config(/*fixed_region=*/false)},
+      {"fixed region", small_config(/*fixed_region=*/true)},
+      {"bench catalogue", bench::us_dataset_config(31)},
+  };
+  for (const auto& [label, config] : configs) {
     std::vector<std::uint32_t> serial_crcs;
     kernels::set_max_threads(1);
     {
-      SyntheticDataset dataset(small_config(fixed));
+      SyntheticDataset dataset(config);
       for (std::int64_t i = 0; i < 3; ++i) {
         serial_crcs.push_back(sample_crc(dataset.sample(i)));
       }
     }
-    kernels::set_max_threads(4);
-    {
-      SyntheticDataset dataset(small_config(fixed));
+    for (const std::size_t threads : {2u, 3u, 4u}) {
+      kernels::set_max_threads(threads);
+      SyntheticDataset dataset(config);
       for (std::int64_t i = 0; i < 3; ++i) {
-        EXPECT_EQ(sample_crc(dataset.sample(i)), serial_crcs[static_cast<std::size_t>(i)])
-            << "fixed=" << fixed << " index=" << i;
+        EXPECT_EQ(sample_crc(dataset.sample(i)),
+                  serial_crcs[static_cast<std::size_t>(i)])
+            << label << " threads=" << threads << " index=" << i;
       }
     }
     kernels::set_max_threads(0);
   }
+}
+
+// sample() called from inside a team chunk runs its own dispatches inline
+// (nested regions are serial) and must still produce the serial bits.
+TEST(PipelineDeterminism, SampleInsideTeamChunkMatchesSerialBits) {
+  const DatasetConfig config = small_config(/*fixed_region=*/true);
+  SyntheticDataset dataset(config);
+  constexpr std::int64_t kSamples = 4;
+  std::vector<std::uint32_t> expected;
+  for (std::int64_t i = 0; i < kSamples; ++i) {
+    expected.push_back(sample_crc(dataset.sample(i)));
+  }
+  kernels::set_max_threads(4);
+  std::vector<std::uint32_t> nested(kSamples, 0);
+  kernels::parallel_for(kSamples, 1, [&](std::int64_t i0, std::int64_t i1) {
+    for (std::int64_t i = i0; i < i1; ++i) {
+      nested[static_cast<std::size_t>(i)] = sample_crc(dataset.sample(i));
+    }
+  });
+  kernels::set_max_threads(0);
+  EXPECT_EQ(nested, expected);
 }
 
 // A cache hit must be indistinguishable from a cache miss: the first sample

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/kernels.hpp"
+#include "core/obs.hpp"
 #include "core/rng.hpp"
 #include "fft/fft.hpp"
 
@@ -211,6 +212,42 @@ TEST(Fft, PlanCachedTransformsAreBitStable) {
       }
     }
   }
+}
+
+// Plans are resolved once per axis pass, not once per line: with warm
+// caches a 2-D transform adds a fixed number of plan lookups whatever the
+// grid's line count. A radix-2 axis takes one lookup; a Bluestein axis
+// takes three (its own plan plus the forward and inverse radix-2 plans of
+// the padded convolution length).
+TEST(Fft2d, PlanLookupsPerTransformDoNotDependOnLineCount) {
+#if defined(ORBIT2_OBS_DISABLED)
+  GTEST_SKIP() << "observability compiled out";
+#else
+  struct Grid {
+    std::int64_t h, w, lookups;
+  };
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& hits = obs::counter("fft.plan_cache_hits");
+  obs::Counter& misses = obs::counter("fft.plan_cache_misses");
+  for (const Grid grid : {Grid{64, 128, 2}, Grid{32, 64, 2}, Grid{24, 36, 6}}) {
+    Rng rng(static_cast<std::uint64_t>(grid.h * grid.w));
+    const Tensor field = Tensor::randn(Shape{grid.h, grid.w}, rng);
+    auto warm = fft2d(field);  // builds any missing plan
+    ifft2d(warm, grid.h, grid.w);
+
+    const std::int64_t hits_before = hits.value();
+    const std::int64_t misses_before = misses.value();
+    auto coeffs = fft2d(field);
+    EXPECT_EQ(hits.value() - hits_before, grid.lookups)
+        << "fft2d " << grid.h << "x" << grid.w;
+    ifft2d(coeffs, grid.h, grid.w);
+    EXPECT_EQ(hits.value() - hits_before, 2 * grid.lookups)
+        << "ifft2d " << grid.h << "x" << grid.w;
+    EXPECT_EQ(misses.value(), misses_before);
+  }
+  obs::set_enabled(was_enabled);
+#endif
 }
 
 TEST(RadialSpectrum, NonSquareFieldUsesShorterAxisForBins) {
